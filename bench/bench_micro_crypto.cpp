@@ -10,12 +10,12 @@
 #include "crypto/compare.hpp"
 #include "crypto/ring_kernels.hpp"
 #include "nn/layers.hpp"
-#include "proto/secure_ops.hpp"
+#include "support/test_models.hpp"
 
+namespace ir = pasnet::ir;
 namespace nn = pasnet::nn;
 namespace pc = pasnet::crypto;
 namespace kern = pasnet::crypto::kern;
-namespace proto = pasnet::proto;
 
 namespace {
 
@@ -82,32 +82,48 @@ void bm_drelu_dh_masked(benchmark::State& state) {
 }
 BENCHMARK(bm_drelu_dh_masked)->Arg(256);
 
-void bm_secure_relu(benchmark::State& state) {
+/// A `channels`-channel 16x16 op of `kind` with same-shaped input and output.
+ir::Op square_op(ir::OpKind kind, int channels) {
+  ir::Op op;
+  op.kind = kind;
+  op.in_ch = op.out_ch = channels;
+  op.in_h = op.in_w = op.out_h = op.out_w = 16;
+  return op;
+}
+
+/// One query of a one-op program through the executor: input sharing, the
+/// op's staged protocol and the terminal reveal of its output.
+void run_single_op_bench(benchmark::State& state, ir::Op op, const nn::Tensor& x) {
+  const ir::SecureProgram p = pasnet::testing::single_op_program(std::move(op));
   pc::TwoPartyContext ctx;
-  pc::Prng prng(6);
-  nn::Tensor x = nn::Tensor::randn({1, 16, 16, 16}, prng, 1.0f);
-  const auto sx = proto::share_tensor(x, prng, ctx.ring());
-  proto::SecureConfig cfg;
+  pc::Prng wprng(8);
+  const ir::CompiledParams params = ir::share_parameters(p, wprng, ctx.ring());
   for (auto _ : state) {
-    benchmark::DoNotOptimize(proto::secure_relu(ctx, sx, cfg).size());
+    benchmark::DoNotOptimize(ir::execute(p, params, ctx, x).logits.size());
   }
   state.SetItemsProcessed(state.iterations() * static_cast<long long>(x.size()));
+  // The context meters every iteration, so its total is the bench's bytes.
+  state.SetBytesProcessed(static_cast<long long>(ctx.stats().total_bytes()));
 }
-BENCHMARK(bm_secure_relu)->Unit(benchmark::kMillisecond);
 
-void bm_secure_conv(benchmark::State& state) {
-  pc::TwoPartyContext ctx;
+void bm_single_op_relu(benchmark::State& state) {
+  pc::Prng prng(6);
+  const nn::Tensor x = nn::Tensor::randn({1, 16, 16, 16}, prng, 1.0f);
+  run_single_op_bench(state, square_op(ir::OpKind::relu, 16), x);
+}
+BENCHMARK(bm_single_op_relu)->Unit(benchmark::kMillisecond);
+
+void bm_single_op_conv(benchmark::State& state) {
   pc::Prng prng(7), wprng(8);
   nn::Conv2d conv(8, 8, 3, 1, 1, wprng);
-  nn::Tensor x = nn::Tensor::randn({1, 8, 16, 16}, prng, 0.5f);
-  const auto sx = proto::share_tensor(x, prng, ctx.ring());
-  const auto sw = pc::share_reals(conv.weight().to_doubles(), prng, ctx.ring());
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(proto::secure_conv2d(ctx, sx, sw, nullptr, 8, 3, 1, 1).size());
-  }
-  state.SetBytesProcessed(state.iterations() * static_cast<long long>(ctx.stats().total_bytes()));
+  const nn::Tensor x = nn::Tensor::randn({1, 8, 16, 16}, prng, 0.5f);
+  ir::Op op = square_op(ir::OpKind::conv, 8);
+  op.kernel = 3;
+  op.pad = 1;
+  op.weight = conv.weight().to_doubles();
+  run_single_op_bench(state, std::move(op), x);
 }
-BENCHMARK(bm_secure_conv)->Unit(benchmark::kMillisecond);
+BENCHMARK(bm_single_op_conv)->Unit(benchmark::kMillisecond);
 
 // -- ring-kernel layer (scalar vs SIMD vs GEMM lowering) ---------------------
 // Each kernel bench runs twice: Arg(...,0) forces the scalar reference

@@ -50,13 +50,6 @@ inline nn::ModelDescriptor model_by_name(const std::string& name) {
 
 inline proto::SecureConfig config_from_flags(const FlagSet& flags) {
   proto::SecureConfig cfg;
-  const std::string schedule = flags.get_string("schedule");
-  if (schedule == "eager") {
-    cfg.schedule = proto::RoundSchedule::eager;
-  } else if (schedule != "coalesced") {
-    std::fprintf(stderr, "unknown --schedule '%s' (coalesced, eager)\n", schedule.c_str());
-    std::exit(2);
-  }
   const std::string ot = flags.get_string("ot");
   if (ot == "dh") {
     cfg.ot_mode = crypto::OtMode::dh_masked;
@@ -138,7 +131,6 @@ inline int run_party(int party, int argc, char** argv) {
   flags.define_string("host", "127.0.0.1", "party_server host (client only)");
   flags.define_string("bind", "127.0.0.1",
                       "listen address (server only; 0.0.0.0 accepts cross-machine peers)");
-  flags.define_string("schedule", "coalesced", "round schedule (coalesced, eager)");
   flags.define_string("ot", "dh",
                       "online OT instantiation (dh: real masked-DH OT; correlated: ideal-"
                       "functionality simulation, refused across processes without "

@@ -78,34 +78,22 @@ void flush_compare_buffers(TwoPartyContext& ctx, CompareWait w) {
 }
 
 void BitOpenBuffer::stage(BitShared x, std::vector<std::uint8_t>* out) {
-  if (!coalescing_) {
-    // Immediate mode never parks the stage, so a failed exchange cannot
-    // leave a dangling output pointer behind (same contract as OpenBuffer).
-    const Pending p{std::move(x), out};
-    open_batch(&p, 1);
-    return;
-  }
   pending_.push_back(Pending{std::move(x), out});
 }
 
 void BitOpenBuffer::flush() {
   if (pending_.empty()) return;
-  open_batch(pending_.data(), pending_.size());
-  pending_.clear();
-}
-
-void BitOpenBuffer::open_batch(const Pending* batch, std::size_t count) {
-  // One symmetric exchange for every stage of the batch; each stage's bits
-  // pack into their own byte-aligned chunk so coalescing never changes the
+  // One symmetric exchange for every pending stage; each stage's bits pack
+  // into their own byte-aligned chunk so merging never changes the
   // transcript size, only the exchange count.
   //
-  // Each batch is one coalesced AND-tree level opening (or one immediate
-  // bit opening) — the protocol event the and_levels counter tracks.
+  // Each flush is one merged AND-tree level opening — the protocol event
+  // the and_levels counter tracks.
   if (obs::Tracer* const t = ctx_.tracer()) t->add(obs::Counter::and_levels, 1);
   std::vector<std::uint8_t> msg0, msg1;
-  for (std::size_t i = 0; i < count; ++i) {
-    const auto p0 = pack_bits(batch[i].x.b0);
-    const auto p1 = pack_bits(batch[i].x.b1);
+  for (const Pending& p : pending_) {
+    const auto p0 = pack_bits(p.x.b0);
+    const auto p1 = pack_bits(p.x.b1);
     msg0.insert(msg0.end(), p0.begin(), p0.end());
     msg1.insert(msg1.end(), p1.begin(), p1.end());
   }
@@ -124,23 +112,17 @@ void BitOpenBuffer::open_batch(const Pending* batch, std::size_t count) {
     throw std::logic_error("BitOpenBuffer::flush: transcript size mismatch");
   }
   std::size_t byte_off = 0;
-  for (std::size_t i = 0; i < count; ++i) {
-    const std::size_t n = batch[i].x.size();
+  for (const Pending& p : pending_) {
+    const std::size_t n = p.x.size();
     const std::vector<std::uint8_t> peer =
         unpack_bits(slice_bytes(peer_msg, byte_off, byte_off + (n + 7) / 8), n);
-    const std::vector<std::uint8_t>& own = local_is_1 ? batch[i].x.b1 : batch[i].x.b0;
-    std::vector<std::uint8_t>& out = *batch[i].out;
+    const std::vector<std::uint8_t>& own = local_is_1 ? p.x.b1 : p.x.b0;
+    std::vector<std::uint8_t>& out = *p.out;
     out.resize(n);
     for (std::size_t j = 0; j < n; ++j) out[j] = own[j] ^ peer[j];
     byte_off += (n + 7) / 8;
   }
-}
-
-void BitOpenBuffer::set_coalescing(bool on) {
-  if (!pending_.empty()) {
-    throw std::logic_error("BitOpenBuffer::set_coalescing: stages pending (flush first)");
-  }
-  coalescing_ = on;
+  pending_.clear();
 }
 
 void AndRound::stage(TwoPartyContext& ctx, const BitShared& x, const BitShared& y,

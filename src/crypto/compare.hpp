@@ -58,16 +58,15 @@ struct BitShared {
 enum class CompareWait : std::uint8_t { ot, bits, opens, done };
 
 /// Flushes the context buffer `w` names (no-op for done).  The standalone
-/// drivers (one-shot protocol functions) use this to run a staged machine
-/// to completion under either buffer mode.
+/// drivers (millionaire_gt, drelu, relu, ...) use this to run a staged
+/// machine to completion on their own.
 void flush_compare_buffers(TwoPartyContext& ctx, CompareWait w);
 
 /// Per-context staging area for joint XOR-share openings — the Z2 analog
-/// of OpenBuffer.  Immediate mode opens each stage in its own symmetric
-/// exchange (the historical and_bits transcript); coalescing mode defers
-/// and flush() opens everything pending in ONE exchange.  Each stage's
-/// bits are packed to a byte boundary separately, so the on-wire bytes are
-/// identical to separate opens.
+/// of OpenBuffer.  Stages wait until flush(), which opens everything
+/// pending in ONE symmetric exchange.  Each stage's bits are packed to a
+/// byte boundary separately, so the on-wire bytes are identical to
+/// separate opens.
 class BitOpenBuffer {
  public:
   explicit BitOpenBuffer(TwoPartyContext& ctx) : ctx_(ctx) {}
@@ -79,18 +78,14 @@ class BitOpenBuffer {
   void flush();
   void discard() noexcept { pending_.clear(); }
   [[nodiscard]] bool has_pending() const noexcept { return !pending_.empty(); }
-  void set_coalescing(bool on);
-  [[nodiscard]] bool coalescing() const noexcept { return coalescing_; }
 
  private:
   struct Pending {
     BitShared x;
     std::vector<std::uint8_t>* out;
   };
-  void open_batch(const Pending* batch, std::size_t count);
   TwoPartyContext& ctx_;
   std::vector<Pending> pending_;
-  bool coalescing_ = false;
 };
 
 /// Staged Beaver AND over Z2: stage() defers the (d, e) opening onto the

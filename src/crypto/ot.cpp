@@ -196,10 +196,6 @@ std::vector<std::uint8_t> ot_1of4(TwoPartyContext& ctx, int sender,
 void OtBuffer::stage(int sender, std::vector<std::array<std::uint8_t, kOtFanIn>> tables,
                      std::vector<std::uint8_t> choices, std::vector<std::uint8_t>* out,
                      OtMode mode) {
-  if (!coalescing_) {
-    *out = ot_1of4(ctx_, sender, tables, choices, mode);
-    return;
-  }
   pending_.push_back(Pending{sender, mode, std::move(tables), std::move(choices), out});
 }
 
@@ -232,13 +228,6 @@ void OtBuffer::flush() {
     lo = hi;
   }
   pending_.clear();
-}
-
-void OtBuffer::set_coalescing(bool on) {
-  if (!pending_.empty()) {
-    throw std::logic_error("OtBuffer::set_coalescing: stages pending (flush first)");
-  }
-  coalescing_ = on;
 }
 
 }  // namespace pasnet::crypto

@@ -42,20 +42,18 @@ inline constexpr int kOtFanIn = 4;
     const std::vector<std::uint8_t>& choices, OtMode mode);
 
 /// Per-context staging area for (1,4)-OT batches — the OT analog of
-/// OpenBuffer.  In immediate mode (default) every stage runs its own OT
-/// dance (two messages, the historical transcript).  In coalescing mode —
-/// enabled by the IR executor for staged-comparison round groups — stages
-/// accumulate and flush() merges every pending request with the same
-/// (sender, mode) into ONE two-message OT batch, so independent comparison
-/// instances share the leaf round.  Receiver outputs are scattered back to
-/// each stage's output vector at flush.
+/// OpenBuffer.  Stages wait until flush(), which merges every pending
+/// request with the same (sender, mode) into ONE two-message OT batch, so
+/// the comparison instances of a round group share the leaf round.
+/// Receiver outputs are scattered back to each stage's output vector.
 class OtBuffer {
  public:
   explicit OtBuffer(TwoPartyContext& ctx) : ctx_(ctx) {}
   OtBuffer(const OtBuffer&) = delete;
   OtBuffer& operator=(const OtBuffer&) = delete;
 
-  /// Stages one batched OT; `*out` receives the per-instance outputs.
+  /// Stages one batched OT; the next flush() writes the per-instance
+  /// outputs to `*out`.
   void stage(int sender, std::vector<std::array<std::uint8_t, kOtFanIn>> tables,
              std::vector<std::uint8_t> choices, std::vector<std::uint8_t>* out,
              OtMode mode);
@@ -68,11 +66,6 @@ class OtBuffer {
   void discard() noexcept { pending_.clear(); }
   [[nodiscard]] bool has_pending() const noexcept { return !pending_.empty(); }
 
-  /// Switches between immediate and coalescing staging.  Must not be
-  /// called with stages pending.
-  void set_coalescing(bool on);
-  [[nodiscard]] bool coalescing() const noexcept { return coalescing_; }
-
  private:
   struct Pending {
     int sender;
@@ -83,7 +76,6 @@ class OtBuffer {
   };
   TwoPartyContext& ctx_;
   std::vector<Pending> pending_;
-  bool coalescing_ = false;
 };
 
 /// 61-bit Mersenne-prime modular helpers (exposed for tests).

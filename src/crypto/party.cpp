@@ -314,14 +314,6 @@ void TwoPartyContext::exchange(const std::function<void()>& send0,
 // ---------------------------------------------------------------------------
 
 void OpenBuffer::stage(Shared x, RingVec* out) {
-  if (!coalescing_) {
-    if (obs::Tracer* const t = ctx_.tracer()) {
-      t->add(obs::Counter::openings, 1);
-      t->add(obs::Counter::open_flushes, 1);
-    }
-    *out = open(ctx_, x);
-    return;
-  }
   pending_.push_back(Pending{std::move(x), out});
 }
 
@@ -355,13 +347,6 @@ void OpenBuffer::flush() {
     off += p.x.size();
   }
   pending_.clear();
-}
-
-void OpenBuffer::set_coalescing(bool on) {
-  if (!pending_.empty()) {
-    throw std::logic_error("OpenBuffer::set_coalescing: stages pending (flush first)");
-  }
-  coalescing_ = on;
 }
 
 // ---------------------------------------------------------------------------

@@ -21,13 +21,12 @@
 //    caller's thread: blocking channels make the lockstep schedule a valid
 //    schedule of the same protocol.
 //
-// Open coalescing: every joint opening is staged on the context's
-// OpenBuffer.  In immediate mode (default) each stage performs its own
-// exchange — the historical transcript.  In coalescing mode (enabled by
-// the IR round scheduler) stages accumulate and flush() opens everything
-// pending in ONE symmetric exchange — same values, same dealer/PRNG draw
-// order, fewer rounds.  That is what keeps the coalesced executor's logits
-// bit-identical to the eager path while its round count drops.
+// Open staging: every joint opening is staged on the context's
+// OpenBuffer and waits there until flush() opens everything pending in ONE
+// symmetric exchange.  The IR executor flushes once per round group, so a
+// multiplication's E and F openings — and the openings of every op in the
+// group — share one round.  Staging never reorders dealer or PRNG draws,
+// so how ops are grouped changes the round count, never a share.
 //
 // Remote (two-process) deployment: a context constructed with a local
 // party id and a single channel endpoint (src/net's TransportChannel over
@@ -139,12 +138,11 @@ class OpenBuffer {
   OpenBuffer& operator=(const OpenBuffer&) = delete;
 
   /// Stages x for opening; the reconstructed public value is written to
-  /// *out.  Immediate mode opens right away (one exchange per stage, the
-  /// historical transcript); coalescing mode defers until flush().
+  /// *out by the next flush().  Nothing is sent before then.
   void stage(Shared x, RingVec* out);
 
   /// Opens everything staged since the last flush in one symmetric
-  /// exchange.  No-op when nothing is pending (always in immediate mode).
+  /// exchange.  No-op when nothing is pending.
   void flush();
 
   /// Drops every pending stage without opening it (error-path cleanup:
@@ -154,11 +152,6 @@ class OpenBuffer {
   void discard() noexcept { pending_.clear(); }
   [[nodiscard]] bool has_pending() const noexcept { return !pending_.empty(); }
 
-  /// Switches between immediate and coalescing staging.  Must not be
-  /// called with stages pending.
-  void set_coalescing(bool on);
-  [[nodiscard]] bool coalescing() const noexcept { return coalescing_; }
-
  private:
   struct Pending {
     Shared x;
@@ -166,7 +159,6 @@ class OpenBuffer {
   };
   TwoPartyContext& ctx_;
   std::vector<Pending> pending_;
-  bool coalescing_ = false;
 };
 
 /// Everything the online phase of a 2PC evaluation needs.
@@ -254,11 +246,12 @@ class TwoPartyContext {
   /// Dedicated streams for the DH OT dance (receiver blinding exponents,
   /// sender ephemerals).  Those values are transcript-only — the derived
   /// pads cancel, so shares never depend on them — but the dance draws at
-  /// coalesced FLUSH time, where merged batches span comparison instances
-  /// (and, batched, lanes).  Keeping them off the share streams means flush
-  /// scheduling can never shift a share-affecting draw, which is what lets
-  /// eager/coalesced/batched transcripts stay share-identical in dh_masked
-  /// mode too.  Seeded from the context seed, so remote processes agree.
+  /// FLUSH time, where merged batches span comparison instances (and,
+  /// batched, lanes).  Keeping them off the share streams means round
+  /// grouping can never shift a share-affecting draw, which is what lets
+  /// per-op, grouped and batched transcripts stay share-identical in
+  /// dh_masked mode too.  Seeded from the context seed, so remote
+  /// processes agree.
   [[nodiscard]] Prng& ot_prng(int party) noexcept { return party == 0 ? ot_prng0_ : ot_prng1_; }
   /// The stream ROLE-SECRET values are drawn from: DH-OT blinding
   /// exponents / sender ephemerals, OT-extension base secrets, and the
@@ -301,8 +294,8 @@ class TwoPartyContext {
   [[nodiscard]] OpenBuffer& opens() noexcept { return opens_; }
   /// The context's staged-OT buffer (crypto/ot.hpp) — the comparison
   /// stack's analog of opens(): independent comparison instances stage
-  /// their (1,4)-OT leaf batches here and a coalescing flush merges them
-  /// into one two-message round.
+  /// their (1,4)-OT leaf batches here and one flush merges them into one
+  /// two-message round.
   [[nodiscard]] OtBuffer& ots() noexcept { return *ots_; }
   /// The context's staged bit-open buffer (crypto/compare.hpp): AND-tree
   /// levels of independent comparisons open their masked (d, e) bits in

@@ -73,7 +73,7 @@ using BilinearMap = std::function<RingVec(const RingVec&, const RingVec&)>;
 
 /// Rebuilds the bilinear map a spec describes (im2col + ring matmul for
 /// conv2d, the per-channel variant for depthwise).  Identical arithmetic to
-/// what secure_conv2d evaluates online.
+/// what StagedConv2d evaluates online.
 [[nodiscard]] BilinearMap build_bilinear_map(const BilinearSpec& spec, const RingConfig& rc);
 
 /// Where the online protocols get their correlated randomness.  The public

@@ -14,34 +14,24 @@ using crypto::RingConfig;
 using crypto::Shared;
 using proto::SecureTensor;
 
-/// Restores the context buffers' staging modes on scope exit
-/// (exception-safe).  An exception mid-round-group leaves stages pending
-/// whose output pointers refer to ops this frame owns — discard them first
-/// so the unwind never throws from a destructor and the reused context
-/// cannot write through dangling pointers.
-class CoalescingScope {
+/// Discards every pending stage of the context buffers on scope exit.
+/// An exception mid-round-group leaves stages pending whose output
+/// pointers refer to ops this frame owns — dropping them keeps the unwind
+/// from ever writing through dangling pointers when the context is reused.
+/// On a normal return every group has flushed, so this is a no-op.
+class DiscardGuard {
  public:
-  CoalescingScope(crypto::TwoPartyContext& ctx, bool on)
-      : ctx_(ctx), prev_opens_(ctx.opens().coalescing()), prev_ots_(ctx.ots().coalescing()),
-        prev_bits_(ctx.bit_opens().coalescing()) {
-    ctx_.opens().set_coalescing(on);
-    ctx_.ots().set_coalescing(on);
-    ctx_.bit_opens().set_coalescing(on);
-  }
-  ~CoalescingScope() {
+  explicit DiscardGuard(crypto::TwoPartyContext& ctx) : ctx_(ctx) {}
+  ~DiscardGuard() {
     ctx_.opens().discard();
     ctx_.ots().discard();
     ctx_.bit_opens().discard();
-    ctx_.opens().set_coalescing(prev_opens_);
-    ctx_.ots().set_coalescing(prev_ots_);
-    ctx_.bit_opens().set_coalescing(prev_bits_);
   }
-  CoalescingScope(const CoalescingScope&) = delete;
-  CoalescingScope& operator=(const CoalescingScope&) = delete;
+  DiscardGuard(const DiscardGuard&) = delete;
+  DiscardGuard& operator=(const DiscardGuard&) = delete;
 
  private:
   crypto::TwoPartyContext& ctx_;
-  bool prev_opens_, prev_ots_, prev_bits_;
 };
 
 /// Restores the context's installed triple source on scope exit — a lane
@@ -122,12 +112,11 @@ BatchExecResult execute_batch(const SecureProgram& p, const CompiledParams& para
   }
 
   const RingConfig& rc = ctx.ring();
-  const bool coalesce = opts.cfg.schedule == proto::RoundSchedule::coalesced;
   obs::Tracer* const tracer = ctx.tracer();
   const obs::SpanGuard run_span(tracer, "ir", "execute_batch",
                                 static_cast<std::int64_t>(lanes));
   crypto::OpenBuffer& opens = ctx.opens();
-  CoalescingScope mode(ctx, coalesce);
+  DiscardGuard discard_guard(ctx);
   SourceScope source_guard(ctx, !opts.lane_sources.empty());
   PrngScope prng_guard(ctx, !opts.lane_prngs.empty());
   const auto use_lane = [&](std::size_t q) {
@@ -180,7 +169,7 @@ BatchExecResult execute_batch(const SecureProgram& p, const CompiledParams& para
   const auto flush_group = [&] {
     if (staged.empty() && comps.empty()) return;
     // One span per round-group flush: OT dances, AND levels and the
-    // coalesced openings of the whole group — across ops AND lanes — land
+    // merged openings of the whole group — across ops AND lanes — land
     // inside it, which is where a latency profile shows the round
     // structure the scheduler bought.
     const obs::SpanGuard flush_span(tracer, "ir", "flush_group",
@@ -254,15 +243,23 @@ BatchExecResult execute_batch(const SecureProgram& p, const CompiledParams& para
 
   for (std::size_t i = 0; i < p.ops.size(); ++i) {
     const Op& op = p.ops[i];
-    // Per-op span covering all K lanes' instances of this op: staging (and
-    // under the eager schedule the whole execution) of the op's work.
+    const bool staged_kind = op.stages_opens() || op.stages_compare();
+    // A staged op joins the open round group unless it starts a new group
+    // or reads one of the group's outputs.  The argmax terminal runs its
+    // own exchanges, and local ops may read group outputs.  Whatever ends
+    // the group flushes it BEFORE this op's span opens, so the group's
+    // exchanges land in its flush span and are never charged to this op.
+    const bool ends_group = staged_kind ? staged_group != op.round_group || input_pending(op)
+                                        : op.multi_round() || input_pending(op);
+    if (ends_group) flush_group();
+    // Per-op span covering all K lanes' instances of this op: the staging
+    // of a staged op, the whole execution of a local op or argmax.
     const obs::SpanGuard op_span(tracer, "ir", op_kind_name(op.kind),
                                  static_cast<std::int64_t>(lanes));
     const auto in = [&](std::size_t q) -> const SecureTensor& {
       return acts[q][static_cast<std::size_t>(op.in0)];
     };
     if (op.stages_opens()) {
-      if (staged_group != op.round_group || input_pending(op)) flush_group();
       for (std::size_t q = 0; q < lanes; ++q) {
         if (opts.layer_hook) opts.layer_hook(q, op.layer);
         use_lane(q);
@@ -290,22 +287,14 @@ BatchExecResult execute_batch(const SecureProgram& p, const CompiledParams& para
             throw std::logic_error("ir::execute: unreachable staged kind");
         }
         sop->stage(ctx);
-        if (coalesce) {
-          staged.push_back(StagedInst{std::move(sop), i, q});
-          staged_group = op.round_group;
-          pending[i] = 1;
-        } else {
-          // Eager schedule: every staged opening already ran its own
-          // exchange; the lane's instance completes on the spot.
-          opens.flush();
-          deliver(q, i, sop->finish(ctx));
-        }
+        staged.push_back(StagedInst{std::move(sop), i, q});
       }
+      staged_group = op.round_group;
+      pending[i] = 1;
       continue;
     }
 
     if (op.stages_compare()) {
-      if (coalesce && (staged_group != op.round_group || input_pending(op))) flush_group();
       for (std::size_t q = 0; q < lanes; ++q) {
         if (opts.layer_hook) opts.layer_hook(q, op.layer);
         use_lane(q);
@@ -321,23 +310,14 @@ BatchExecResult execute_batch(const SecureProgram& p, const CompiledParams& para
           default:
             throw std::logic_error("ir::execute: unreachable compare kind");
         }
-        if (coalesce) {
-          cop->begin(ctx);
-          comps.push_back(CompInst{std::move(cop), i, q});
-          staged_group = op.round_group;
-          pending[i] = 1;
-        } else {
-          // Eager schedule: the comparison's phases run their own exchanges
-          // back to back (immediate buffers make every flush a no-op).
-          deliver(q, i, proto::run_compare_op(ctx, *cop));
-        }
+        cop->begin(ctx);
+        comps.push_back(CompInst{std::move(cop), i, q});
       }
+      staged_group = op.round_group;
+      pending[i] = 1;
       continue;
     }
 
-    // The argmax terminal runs its own exchanges; local ops may read group
-    // outputs.  Either way any pending group finishes first.
-    if (op.multi_round() || input_pending(op)) flush_group();
     for (std::size_t q = 0; q < lanes; ++q) {
       if (opts.layer_hook) opts.layer_hook(q, op.layer);
       use_lane(q);
@@ -381,8 +361,7 @@ BatchExecResult execute_batch(const SecureProgram& p, const CompiledParams& para
   if (out_op.kind == OpKind::argmax) return result;
 
   // Reveal the logits to the client: every lane's terminal opening stages
-  // on the open buffer, so the coalesced schedule reveals the whole batch
-  // in ONE joint exchange (the eager schedule opens per lane).
+  // on the open buffer, so the whole batch reveals in ONE joint exchange.
   const obs::SpanGuard reveal_span(tracer, "ir", "reveal_logits",
                                    static_cast<std::int64_t>(lanes));
   std::vector<crypto::RingVec> revealed(lanes);

@@ -4,11 +4,12 @@
 //
 // Parameters are secret-shared once (share_parameters) and reused across
 // queries; execute() walks the program in order, staging the openings of
-// every round group on the context's OpenBuffer and flushing each group in
-// one exchange.  Because staging preserves the program-order dealer and
-// PRNG draw sequence, the coalesced schedule produces logits bit-identical
-// to the eager (open-per-exchange) schedule — only the round count and
-// message count drop.
+// every round group on the context's buffers and flushing each group in
+// one exchange per protocol phase.  This is the only way an operator
+// runs.  Staging preserves the program-order dealer and PRNG draw
+// sequence, so the round groups a program carries change its round and
+// message counts, never a share: a program whose every staged op sits in
+// its own group (one flush per op) yields bit-identical logits.
 //
 // execute_batch() generalizes the walk to K queries inside ONE context:
 // every op stages all K lanes' instances into the same round group, so
@@ -45,10 +46,9 @@ struct ExecOptions {
   /// its correlated randomness (the preprocessing-plan oracle hook).
   std::function<void(int)> layer_hook;
   /// Invoked with (op index, output tensor) as each op's secret-shared
-  /// output lands — after its round group delivers under the coalesced
-  /// schedule.  The differential test harness compares these shares
-  /// request-for-request between schedules; argmax terminals (label
-  /// outputs) are not reported.
+  /// output lands — after its round group delivers.  The differential
+  /// test harness compares these shares request-for-request between
+  /// round groupings; argmax terminals (label outputs) are not reported.
   std::function<void(std::size_t, const proto::SecureTensor&)> op_hook;
   /// Pre-shared input (non-owning; must outlive the call).  When set, the
   /// input op delivers a copy of these shares instead of sharing the

@@ -211,8 +211,9 @@ std::vector<PhaseTok> compare_tokens(const ir::Op& op, int ring_bits) {
 
 struct GroupWalk {
   int rounds = 0;
-  /// Bytes the coalesced schedule saves versus eager: merging k pending OT
-  /// batches into one flush ships one ephemeral sender key instead of k.
+  /// Bytes the group saves versus flushing each member alone: merging k
+  /// pending OT batches into one flush ships one ephemeral sender key
+  /// instead of k.
   std::uint64_t ot_merge_savings = 0;
 };
 
@@ -294,6 +295,7 @@ ProgramCost profile_program(const LatencyModel& m, const ir::SecureProgram& p,
   }
 
   std::set<int> groups_counted;
+  std::uint64_t per_op_wire_bytes = 0;  // every op flushed alone
   for (const ir::Op& op : p.ops) {
     OpCost c = ir_op_cost(m, op, ring_bits);
     if ((op.stages_opens() || op.stages_compare()) && op.round_group >= 0) {
@@ -318,12 +320,12 @@ ProgramCost profile_program(const LatencyModel& m, const ir::SecureProgram& p,
     scaled.comm_s *= static_cast<double>(lanes);
     scaled.comm_bytes *= static_cast<double>(lanes);
     pc.total += scaled;
-    pc.wire_bytes_eager += lanes * ir_op_wire_bytes(op, ring_bits, wire_bits);
+    per_op_wire_bytes += lanes * ir_op_wire_bytes(op, ring_bits, wire_bits);
   }
   pc.round_groups = static_cast<int>(groups_counted.size());
   // Terminal joint opening: all lanes' logits reveal in ONE merged
-  // exchange under the coalesced schedule; an argmax terminal's index
-  // reveal instead happens inside each lane's tournament, once per lane.
+  // exchange; an argmax terminal's index reveal instead happens inside
+  // each lane's tournament, once per lane.
   const bool argmax_terminal =
       p.output >= 0 && p.ops[static_cast<std::size_t>(p.output)].multi_round();
   pc.total.rounds += argmax_terminal ? static_cast<int>(lanes) : 1;
@@ -332,10 +334,10 @@ ProgramCost profile_program(const LatencyModel& m, const ir::SecureProgram& p,
       p.output >= 0 ? p.ops[static_cast<std::size_t>(p.output)].output_elems() : 0);
   pc.total.comm_bytes +=
       2.0 * static_cast<double>(wire) * static_cast<double>(out_elems * lanes);
-  pc.wire_bytes_eager += 2 * wire * out_elems * lanes;
-  // The coalesced schedule moves the same openings and bit packs; only
-  // merged OT flushes shed their extra ephemeral sender keys.
-  pc.wire_bytes = pc.wire_bytes_eager - ot_merge_savings;
+  per_op_wire_bytes += 2 * wire * out_elems * lanes;
+  // Grouping moves the same openings and bit packs; only merged OT flushes
+  // shed their extra ephemeral sender keys.
+  pc.wire_bytes = per_op_wire_bytes - ot_merge_savings;
   return pc;
 }
 

@@ -6,15 +6,17 @@
 // object: per-op compute/communication come from the paper's Eq. 5-16
 // cost functions, while the `rounds` fields follow the protocol stack's
 // actual round structure (OT phases, AND-tree depth, B2A + mux, coalesced
-// E/F openings) — the same rounds the coalesced executor measures.  Ops
+// E/F openings) — the same rounds the executor measures.  Ops
 // sharing a round group count their rounds together: single-round members
 // merge into one exchange, staged comparison members are priced by
 // replaying the executor's lockstep phase walk (shared OT round, shared
 // exchange per AND level and open phase — independent of the instance
 // count).  The terminal opening (logits or argmax indices) adds one more.
 //
-// The CI round-regression guard asserts the coalesced executor's measured
-// rounds exactly equal this model's prediction on the reference models.
+// The CI round-regression guard asserts the executor's measured rounds and
+// wire bytes exactly equal this model's prediction on the reference
+// models — for the scheduled program and for the same program with every
+// staged op in its own round group, which prices per-op flushing.
 
 #include "crypto/ring.hpp"
 #include "ir/program.hpp"
@@ -29,18 +31,19 @@ namespace pasnet::perf {
 /// 32-bit wire width does not change the tree depth).
 [[nodiscard]] int drelu_rounds(int ring_bits = 64);
 
-/// Analytic cost of one IR op with protocol-accurate round counts.  The
-/// round count assumes the coalesced schedule (each multiplication's E and
-/// F open together); group merging across ops is applied by
-/// profile_program, not here.
+/// Analytic cost of one IR op with protocol-accurate round counts: the op
+/// alone in its round group (each multiplication's E and F open
+/// together).  Group merging across ops is applied by profile_program,
+/// not here.
 [[nodiscard]] OpCost ir_op_cost(const LatencyModel& model, const ir::Op& op,
                                 int ring_bits = 64);
 
 /// EXACT on-wire bytes one op's online protocol moves (both directions)
-/// under the per-op (eager) schedule: every opening at `wire_bits` per
-/// ring element, the OT leaf dance's blinded-key and masked-table
-/// messages (8 bytes/key + 1 byte/table entry + one 8-byte ephemeral
-/// sender key per batch), and the AND-tree's per-level packed bit opens.
+/// when the op flushes alone in its round group: every opening at
+/// `wire_bits` per ring element, the OT leaf dance's blinded-key and
+/// masked-table messages (8 bytes/key + 1 byte/table entry + one 8-byte
+/// ephemeral sender key per batch), and the AND-tree's per-level packed
+/// bit opens.
 /// This is the figure the channel meter measures — OpCost::comm_bytes
 /// stays the paper's Eq. 5-16 estimate used by the NAS latency model.
 [[nodiscard]] std::uint64_t ir_op_wire_bytes(const ir::Op& op, int ring_bits = 64,
@@ -50,15 +53,14 @@ namespace pasnet::perf {
 struct ProgramCost {
   OpCost total;                ///< includes the terminal opening round
   std::vector<OpCost> per_op;  ///< aligned with program.ops
-  int round_groups = 0;        ///< coalesced open groups counted once
-  /// Exact wire bytes of the whole program (terminal opening included)
-  /// under each schedule.  They differ only by the merged-OT flushes of
-  /// the coalesced schedule: merging k pending OT batches into one dance
-  /// ships ONE ephemeral sender key instead of k, saving 8·(k-1) bytes
-  /// per merged flush.  The CI guard asserts the measured channel bytes
-  /// equal these figures exactly.
-  std::uint64_t wire_bytes = 0;        ///< coalesced schedule
-  std::uint64_t wire_bytes_eager = 0;  ///< per-op schedule
+  int round_groups = 0;        ///< round groups, each counted once
+  /// Exact wire bytes of the whole program, terminal opening included:
+  /// the sum of ir_op_wire_bytes minus the merged-OT savings of its round
+  /// groups — merging k pending OT batches into one dance ships ONE
+  /// ephemeral sender key instead of k, saving 8·(k-1) bytes per merged
+  /// flush.  The CI guard asserts the measured channel bytes equal this
+  /// figure exactly.
+  std::uint64_t wire_bytes = 0;
 };
 
 /// Analytic profile of the OFFLINE phase: what it costs the two parties to
@@ -90,7 +92,7 @@ struct OfflinePhaseCost {
 /// `batch` prices a K-lane single-context batched run (ir::execute_batch):
 /// every comparison contributes K identical phase streams to its round
 /// group — so group rounds stay K-invariant while merged-OT savings grow —
-/// per-op compute/communication and eager wire bytes scale by K, the
+/// per-op compute/communication and per-op wire bytes scale by K, the
 /// terminal logits opening stays ONE merged exchange, and argmax terminals
 /// (not staged) pay their tournament and reveal rounds per lane.  per_op
 /// entries remain single-lane figures.

@@ -104,8 +104,8 @@ StagedConv2d::StagedConv2d(const SecureTensor& x, const crypto::Shared& weight,
   const std::size_t want = depthwise ? static_cast<std::size_t>(x.dim(1)) * k2
                                      : static_cast<std::size_t>(out_ch) * x.dim(1) * k2;
   if (weight.size() != want) {
-    throw std::invalid_argument(depthwise ? "secure_depthwise_conv2d: weight shape mismatch"
-                                          : "secure_conv2d: weight shape mismatch");
+    throw std::invalid_argument(depthwise ? "StagedConv2d: depthwise weight shape mismatch"
+                                          : "StagedConv2d: weight shape mismatch");
   }
 }
 
@@ -149,7 +149,7 @@ StagedLinear::StagedLinear(const SecureTensor& x, const crypto::Shared& weight,
   const int n = x.dim(0);
   const std::size_t in_f = x.size() / static_cast<std::size_t>(n);
   if (weight.size() != static_cast<std::size_t>(out_features) * in_f) {
-    throw std::invalid_argument("secure_linear: weight shape mismatch");
+    throw std::invalid_argument("StagedLinear: weight shape mismatch");
   }
 }
 
@@ -220,15 +220,6 @@ SecureTensor StagedX2act::finish(TwoPartyContext& ctx) {
 // ---------------------------------------------------------------------------
 // Staged comparison operators
 // ---------------------------------------------------------------------------
-
-SecureTensor run_compare_op(TwoPartyContext& ctx, StagedCompareOp& op) {
-  op.begin(ctx);
-  while (op.waiting() != crypto::CompareWait::done) {
-    crypto::flush_compare_buffers(ctx, op.waiting());
-    op.step(ctx);
-  }
-  return op.take(ctx);
-}
 
 StagedRelu::StagedRelu(const SecureTensor& x, crypto::OtMode mode) : x_(x), mode_(mode) {}
 
@@ -339,52 +330,8 @@ SecureTensor StagedMaxPool::take(TwoPartyContext& ctx) {
 }
 
 // ---------------------------------------------------------------------------
-// One-shot operators (stage + flush + finish)
+// Local operators and the argmax terminal
 // ---------------------------------------------------------------------------
-
-SecureTensor secure_conv2d(TwoPartyContext& ctx, const SecureTensor& x, const Shared& weight,
-                           const Shared* bias, int out_ch, int kernel, int stride, int pad) {
-  StagedConv2d op(x, weight, bias, out_ch, kernel, stride, pad, /*depthwise=*/false);
-  op.stage(ctx);
-  ctx.opens().flush();
-  return op.finish(ctx);
-}
-
-SecureTensor secure_depthwise_conv2d(TwoPartyContext& ctx, const SecureTensor& x,
-                                     const Shared& weight, int kernel, int stride, int pad) {
-  StagedConv2d op(x, weight, /*bias=*/nullptr, /*out_ch=*/x.dim(1), kernel, stride, pad,
-                  /*depthwise=*/true);
-  op.stage(ctx);
-  ctx.opens().flush();
-  return op.finish(ctx);
-}
-
-SecureTensor secure_linear(TwoPartyContext& ctx, const SecureTensor& x, const Shared& weight,
-                           const Shared* bias, int out_features) {
-  StagedLinear op(x, weight, bias, out_features);
-  op.stage(ctx);
-  ctx.opens().flush();
-  return op.finish(ctx);
-}
-
-SecureTensor secure_x2act(TwoPartyContext& ctx, const SecureTensor& x, double a_coeff,
-                          double w2, double b) {
-  StagedX2act op(x, a_coeff, w2, b);
-  op.stage(ctx);
-  ctx.opens().flush();
-  return op.finish(ctx);
-}
-
-SecureTensor secure_relu(TwoPartyContext& ctx, const SecureTensor& x, const SecureConfig& cfg) {
-  StagedRelu op(x, cfg.ot_mode);
-  return run_compare_op(ctx, op);
-}
-
-SecureTensor secure_maxpool(TwoPartyContext& ctx, const SecureTensor& x, int kernel,
-                            int stride, const SecureConfig& cfg, int pad) {
-  StagedMaxPool op(x, kernel, stride, pad, cfg.ot_mode);
-  return run_compare_op(ctx, op);
-}
 
 SecureTensor secure_avgpool(TwoPartyContext& ctx, const SecureTensor& x, int kernel,
                             int stride, int pad) {
@@ -515,7 +462,7 @@ std::vector<int> secure_argmax(TwoPartyContext& ctx, const SecureTensor& logits,
     const Shared bit = b2a.finish(rc);
     // winner = b + (a - b)·[a >= b]; indices follow the same selector.  The
     // two selector multiplies depend only on the bit, so their openings
-    // share one flush (one exchange under the coalesced schedule).
+    // share one flush (one exchange).
     crypto::MulRound vsel, isel;
     vsel.stage(ctx, vdiff, bit, std::move(t_vsel));
     isel.stage(ctx, idiff, bit, std::move(t_isel));

@@ -8,15 +8,15 @@
 // src/crypto/compare.  Every operator exchanges real messages over the
 // simulated channel, so byte/round statistics are faithful.
 //
-// The single-round multiplicative operators (conv, depthwise conv, linear,
-// x2act) exist in two forms: the one-shot secure_* functions, and staged
-// Staged* classes that split the op into stage() — draw triples and stage
-// the masked openings on the context's OpenBuffer — and finish() — local
-// recombination once the openings are public.  The IR round scheduler
-// stages several independent ops and flushes their openings in one
-// exchange; the one-shot functions are stage + flush + finish, so both
-// forms share one implementation and one draw order (bit-identical
-// results).
+// The operators that communicate are staged classes the IR executor
+// (ir::execute_batch) drives.  The single-round multiplicative ops (conv,
+// depthwise conv, linear, x2act) split into stage() — draw triples and
+// stage the masked openings on the context's OpenBuffer — and finish() —
+// local recombination once the executor has flushed the op's round
+// group.  ReLU and MaxPool are resumable comparison machines the executor
+// advances phase by phase.  Local ops (pooling by averaging, add,
+// flatten) are plain functions, as is the argmax terminal, which runs its
+// own exchanges.
 
 #include <memory>
 
@@ -25,33 +25,20 @@
 
 namespace pasnet::proto {
 
-/// How the executor schedules joint openings.
-enum class RoundSchedule {
-  /// The IR round scheduler: each multiplication's E and F openings merge
-  /// into one exchange, and independent openings across parallel branches
-  /// batch into a single round-trip.  Same values and transcripts bytes,
-  /// fewer rounds.
-  coalesced,
-  /// The historical op-at-a-time path: every opening is its own exchange.
-  eager,
-};
-
 /// Protocol knobs for the secure executor.
 struct SecureConfig {
   /// OT instantiation for comparisons: dh_masked is the full cryptographic
   /// path; correlated is the fast ideal-functionality path with identical
   /// transcript sizes (use for large tensors).
   crypto::OtMode ot_mode = crypto::OtMode::correlated;
-  /// Open scheduling of the program executor (see RoundSchedule).
-  RoundSchedule schedule = RoundSchedule::coalesced;
 };
 
 // --- Staged (two-phase) operator forms -------------------------------------
 
 /// Interface the IR executor drives: stage() draws the op's correlated
-/// randomness and stages its openings (no communication of its own in
-/// coalescing mode), finish() computes the result locally.  Referenced
-/// inputs (activation tensors, weights) must outlive the op.
+/// randomness and stages its openings (no communication of its own),
+/// finish() computes the result locally once the openings are flushed.
+/// Referenced inputs (activation tensors, weights) must outlive the op.
 class StagedSecureOp {
  public:
   virtual ~StagedSecureOp() = default;
@@ -128,12 +115,6 @@ class StagedCompareOp {
   [[nodiscard]] virtual SecureTensor take(crypto::TwoPartyContext& ctx) = 0;
 };
 
-/// Runs one staged comparison op to completion on the calling thread,
-/// flushing whichever buffer it waits on (no-ops under immediate buffers —
-/// the eager schedule).  The one-shot secure_relu / secure_maxpool /
-/// secure_argmax drive their staged forms through this.
-SecureTensor run_compare_op(crypto::TwoPartyContext& ctx, StagedCompareOp& op);
-
 /// Staged 2PC ReLU: one resumable v·DReLU(v) over the whole tensor.
 class StagedRelu final : public StagedCompareOp {
  public:
@@ -176,42 +157,7 @@ class StagedMaxPool final : public StagedCompareOp {
   bool done_ = false;
 };
 
-// --- One-shot operators ----------------------------------------------------
-
-/// 2PC convolution on shares: weight is a shared [OC, IC·K·K] matrix,
-/// optional shared bias [OC] (already fixed-point encoded at scale f).
-[[nodiscard]] SecureTensor secure_conv2d(crypto::TwoPartyContext& ctx, const SecureTensor& x,
-                                         const crypto::Shared& weight,
-                                         const crypto::Shared* bias, int out_ch, int kernel,
-                                         int stride, int pad);
-
-/// Depthwise 2PC convolution: weight is a shared [C, K·K] matrix.
-[[nodiscard]] SecureTensor secure_depthwise_conv2d(crypto::TwoPartyContext& ctx,
-                                                   const SecureTensor& x,
-                                                   const crypto::Shared& weight, int kernel,
-                                                   int stride, int pad);
-
-/// 2PC fully connected layer: weight [out, in] shared, bias [out] shared.
-[[nodiscard]] SecureTensor secure_linear(crypto::TwoPartyContext& ctx, const SecureTensor& x,
-                                         const crypto::Shared& weight,
-                                         const crypto::Shared* bias, int out_features);
-
-/// 2PC X2act (paper Eq. 4/14): a·x² + w2·x + b with public coefficients
-/// (a already includes the c/√Nx factor).
-[[nodiscard]] SecureTensor secure_x2act(crypto::TwoPartyContext& ctx, const SecureTensor& x,
-                                        double a_coeff, double w2, double b);
-
-/// 2PC ReLU via the OT comparison flow (paper Eq. 11).
-[[nodiscard]] SecureTensor secure_relu(crypto::TwoPartyContext& ctx, const SecureTensor& x,
-                                       const SecureConfig& cfg);
-
-/// 2PC MaxPool: log-depth tree of secure max over each window (Eq. 13).
-/// All window pairs of one tournament level are batched into a single
-/// secure-max call, so a level costs one pass through the comparison stack
-/// regardless of how many independent pairs it contains.
-[[nodiscard]] SecureTensor secure_maxpool(crypto::TwoPartyContext& ctx, const SecureTensor& x,
-                                          int kernel, int stride, const SecureConfig& cfg,
-                                          int pad = 0);
+// --- Local operators and the argmax terminal -------------------------------
 
 /// 2PC AvgPool: local additions and public scaling (Eq. 15).
 [[nodiscard]] SecureTensor secure_avgpool(crypto::TwoPartyContext& ctx, const SecureTensor& x,

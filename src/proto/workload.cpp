@@ -146,7 +146,8 @@ WorkloadResult Workload::run(const std::vector<nn::Tensor>& inputs) {
     cs.queries = lanes;
     const auto& chan = cctx.stats();
     cs.totals.comm_bytes = chan.total_bytes();
-    cs.totals.weight_open_bytes = net_.weight_open_bytes();
+    // Each lane has its own triples and so opens its own E = W - B.
+    cs.totals.weight_open_bytes = lanes * net_.weight_open_bytes();
     cs.totals.messages = chan.messages;
     cs.totals.rounds = chan.rounds;
     for (const crypto::TripleSource* src : lane_sources) {

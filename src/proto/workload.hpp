@@ -53,7 +53,8 @@ struct WorkloadResult {
 
 /// Per-chunk statistics: communication/round totals are chunk-level (the
 /// chunk's lanes share every exchange — that is the point), triple
-/// counters are exact sums over the chunk's per-lane sources.
+/// counters are exact sums over the chunk's per-lane sources, and weight
+/// openings count once per lane (each lane opens its own E = W - B).
 struct ChunkStats {
   std::size_t first_query = 0;  ///< canonical stream position of lane 0
   std::size_t queries = 0;      ///< lanes in this chunk

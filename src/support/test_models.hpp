@@ -1,7 +1,9 @@
 #pragma once
 // Shared tiny-model fixtures used by the test suites and benches: a tiny
 // conv-bn-act-pool-fc model, a short training warm-up so batch-norm has
-// meaningful running statistics, and a tensor diff helper.
+// meaningful running statistics, a tensor diff helper, and IR program
+// helpers (one-op programs, the one-group-per-op grouping, runs at a
+// canonical stream position).
 
 #include <algorithm>
 #include <cmath>
@@ -16,6 +18,8 @@
 #include "nn/loss.hpp"
 #include "nn/models.hpp"
 #include "nn/optim.hpp"
+#include "offline/triple_store.hpp"
+#include "proto/secure_network.hpp"
 
 namespace pasnet::testing {
 
@@ -98,8 +102,8 @@ inline nn::ModelDescriptor proxy_mobilenet() {
 
 /// Every fixture model the acceptance criteria cover: the four TinyCNN
 /// activation/pooling variants plus the scaled backbone proxies.  The
-/// differential (staged-vs-eager) and plan-oracle suites iterate this
-/// list, so a new fixture added here is picked up by both.
+/// differential (scheduled vs per_op_groups) and plan-oracle suites
+/// iterate this list, so a new fixture added here is picked up by both.
 inline std::vector<nn::ModelDescriptor> all_test_models() {
   return {
       tiny_cnn(nn::OpKind::relu, nn::OpKind::maxpool),
@@ -115,8 +119,8 @@ inline std::vector<nn::ModelDescriptor> all_test_models() {
 /// A hand-built IR program with K independent ReLU instances over one
 /// input, reduced by local adds — the cross-instance comparison-coalescing
 /// fixture shared by the round guard and bench_fig1: the scheduler puts
-/// all K in one round group, so the coalesced executor pays the
-/// comparison stack once however large K is.
+/// all K in one round group, so the executor pays the comparison stack
+/// once however large K is.
 inline ir::SecureProgram parallel_relu_program(int k) {
   ir::SecureProgram p;
   p.name = "ParallelRelu" + std::to_string(k);
@@ -152,22 +156,95 @@ inline ir::SecureProgram parallel_relu_program(int k) {
   return p;
 }
 
-/// Measured traffic of one execution of `p` on a fresh context, zero input.
-inline crypto::TrafficStats measured_program_traffic(const ir::SecureProgram& p,
-                                                     proto::RoundSchedule schedule) {
-  crypto::TwoPartyContext ctx;
+/// A one-op program: an input op shaped like `op`'s input feeding `op`,
+/// which is the program output.  The way to run a single staged operator
+/// (conv, depthwise conv, linear, x2act, relu, maxpool) through the
+/// executor — op-level tests and micro-benchmarks build on it.  `op` must
+/// carry its geometry and plaintext parameters; its edges are rewired.
+inline ir::SecureProgram single_op_program(ir::Op op) {
+  ir::SecureProgram p;
+  p.name = std::string("Single_") + ir::op_kind_name(op.kind);
+  p.input_ch = op.in_ch;
+  p.input_h = op.in_h;
+  p.input_w = op.in_w;
+  ir::Op input;
+  input.kind = ir::OpKind::input;
+  input.in_ch = input.out_ch = op.in_ch;
+  input.in_h = input.out_h = op.in_h;
+  input.in_w = input.out_w = op.in_w;
+  p.ops.push_back(input);
+  op.in0 = 0;
+  op.in1 = -1;
+  p.ops.push_back(std::move(op));
+  p.output = 1;
+  ir::schedule_rounds(p);
+  return p;
+}
+
+/// Runs single_op_program(op) on `x` inside `ctx` — parameters shared
+/// from a fixed seed, input shared by the canonical client PRG — and
+/// returns the revealed output.  `ctx`'s meter sees the op's traffic plus
+/// the terminal reveal of its output.
+inline nn::Tensor run_single_op(crypto::TwoPartyContext& ctx, ir::Op op, const nn::Tensor& x,
+                                proto::SecureConfig cfg = proto::SecureConfig{}) {
+  const ir::SecureProgram p = single_op_program(std::move(op));
   crypto::Prng wprng(1);
   const ir::CompiledParams params = ir::share_parameters(p, wprng, ctx.ring());
   ir::ExecOptions opts;
-  opts.cfg.schedule = schedule;
-  (void)ir::execute(p, params, ctx, nn::Tensor({1, p.input_ch, p.input_h, p.input_w}), opts);
+  opts.cfg = cfg;
+  return ir::execute(p, params, ctx, x, opts).logits;
+}
+
+/// `p` with every staged op (conv / depthwise / linear / x2act / relu /
+/// maxpool) in a round group of its own — the eager grouping: the
+/// executor then flushes after each op, and perf::profile_program prices
+/// exactly that.  Grouping only moves flush points — never a dealer or
+/// PRNG draw — so the per-op program must give the scheduled one's shares
+/// bit for bit; it is the differential reference for everything the
+/// scheduler merges.
+inline ir::SecureProgram per_op_groups(ir::SecureProgram p) {
+  int group = 0;
+  for (ir::Op& op : p.ops) {
+    op.round_group = op.stages_opens() || op.stages_compare() ? group++ : -1;
+  }
+  return p;
+}
+
+/// One query through ir::execute on the canonical per-query context of
+/// stream position `position` — the transcript a batch-1 Workload serves
+/// for that position, for programs a Workload does not hold (e.g.
+/// per_op_groups of a network's program).  With `bundle` set, triples
+/// come from that store bundle instead of the context's dealer.
+inline ir::ExecResult execute_at_position(const ir::SecureProgram& p,
+                                          const ir::CompiledParams& params,
+                                          const nn::Tensor& x, std::size_t position,
+                                          offline::QueryBundle* bundle = nullptr,
+                                          crypto::TrafficStats* stats = nullptr) {
+  crypto::TwoPartyContext ctx(crypto::RingConfig{},
+                              proto::SecureNetwork::query_context_seed(position));
+  std::unique_ptr<offline::StoreTripleSource> source;
+  if (bundle != nullptr) {
+    source = std::make_unique<offline::StoreTripleSource>(bundle, ctx.dealer(),
+                                                          offline::ExhaustionPolicy::Throw);
+    ctx.set_triple_source(source.get());
+  }
+  ir::ExecResult result = ir::execute(p, params, ctx, x);
+  if (stats != nullptr) *stats = ctx.stats();
+  return result;
+}
+
+/// Measured traffic of one execution of `p` on a fresh context, zero input.
+inline crypto::TrafficStats measured_program_traffic(const ir::SecureProgram& p) {
+  crypto::TwoPartyContext ctx;
+  crypto::Prng wprng(1);
+  const ir::CompiledParams params = ir::share_parameters(p, wprng, ctx.ring());
+  (void)ir::execute(p, params, ctx, nn::Tensor({1, p.input_ch, p.input_h, p.input_w}));
   return ctx.stats();
 }
 
 /// Measured rounds of one execution of `p` on a fresh context, zero input.
-inline std::uint64_t measured_program_rounds(const ir::SecureProgram& p,
-                                             proto::RoundSchedule schedule) {
-  return measured_program_traffic(p, schedule).rounds;
+inline std::uint64_t measured_program_rounds(const ir::SecureProgram& p) {
+  return measured_program_traffic(p).rounds;
 }
 
 /// A few steps of training so BN has meaningful running statistics.

@@ -1,9 +1,10 @@
 // Differential bit-identity harness for the staged (resumable) comparison
-// stack: the coalesced schedule — which advances every ReLU/maxpool
-// instance of a round group in lockstep through shared OT, AND-tree and
-// open rounds — must reproduce the eager schedule's secret shares
-// request-for-request, op for op, on every support/test_models.hpp model,
-// in lockstep and threaded modes, dealer-backed and TripleStore-backed.
+// stack: the scheduled program — whose round groups advance every
+// ReLU/maxpool instance in lockstep through shared OT, AND-tree and open
+// rounds — must reproduce the secret shares of per_op_groups(program),
+// the eager grouping that flushes after every op, request-for-request, op
+// for op, on every support/test_models.hpp model, in lockstep and
+// threaded modes, dealer-backed and TripleStore-backed.
 // Plus seeded randomized property tests for millionaire_gt / drelu over
 // adversarial fixed-point edge values.
 
@@ -14,6 +15,7 @@
 #include <vector>
 
 #include "ir/passes.hpp"
+#include "ir/plan.hpp"
 #include "offline/triple_store.hpp"
 #include "proto/secure_network.hpp"
 #include "proto/workload.hpp"
@@ -26,6 +28,7 @@ namespace pc = pasnet::crypto;
 namespace proto = pasnet::proto;
 
 using pasnet::testing::all_test_models;
+using pasnet::testing::per_op_groups;
 using pasnet::testing::proxy_resnet;
 using pasnet::testing::tiny_cnn;
 using pasnet::testing::warm_up;
@@ -60,17 +63,15 @@ struct RunResult {
   std::uint64_t bytes = 0;
 };
 
-/// One query through ir::execute with the given schedule, capturing every
-/// op's output shares.  Context / parameter seeds are fixed so two runs
-/// differ only in their open scheduling.
-RunResult run_program(const ir::SecureProgram& p, proto::RoundSchedule schedule,
-                      pc::ExecMode mode, const nn::Tensor& x,
+/// One query through ir::execute, capturing every op's output shares.
+/// Context / parameter seeds are fixed so two runs of differently grouped
+/// programs differ only in their flush points.
+RunResult run_program(const ir::SecureProgram& p, pc::ExecMode mode, const nn::Tensor& x,
                       pc::OtMode ot = pc::OtMode::correlated) {
   pc::TwoPartyContext ctx(pc::RingConfig{}, 42, mode);
   pc::Prng wprng(7);
   const ir::CompiledParams params = ir::share_parameters(p, wprng, ctx.ring());
   ir::ExecOptions opts;
-  opts.cfg.schedule = schedule;
   opts.cfg.ot_mode = ot;
   RunResult r;
   opts.op_hook = [&r](std::size_t i, const proto::SecureTensor& t) {
@@ -101,11 +102,11 @@ void expect_bit_identical(const nn::Tensor& a, const nn::Tensor& b, const char* 
 }  // namespace
 
 // ---------------------------------------------------------------------------
-// Staged vs eager: per-op shares, all models, both execution modes
+// Scheduled vs eager (per_op_groups): per-op shares, all models, both modes
 // ---------------------------------------------------------------------------
 
 TEST(CompareStaged, PerOpSharesBitIdenticalToEagerOnAllModels) {
-  // With the ideal-functionality OT the two schedules draw every PRNG and
+  // With the ideal-functionality OT both groupings draw every PRNG and
   // dealer stream in the same order, so not just the logits but every
   // intermediate op's secret shares must match bit for bit.
   std::uint64_t seed = 500;
@@ -117,17 +118,16 @@ TEST(CompareStaged, PerOpSharesBitIdenticalToEagerOnAllModels) {
     const auto x =
         nn::Tensor::randn({1, t.md.input_ch, t.md.input_h, t.md.input_w}, dprng, 0.5f);
 
-    const RunResult coal = run_program(p, proto::RoundSchedule::coalesced,
-                                       pc::ExecMode::lockstep, x);
-    const RunResult eager = run_program(p, proto::RoundSchedule::eager,
-                                        pc::ExecMode::lockstep, x);
-    expect_bit_identical(coal.logits, eager.logits, t.md.name.c_str());
-    expect_same_shares(coal, eager, t.md.name.c_str());
-    EXPECT_LT(coal.rounds, eager.rounds) << t.md.name;
+    const RunResult grouped = run_program(p, pc::ExecMode::lockstep, x);
+    const RunResult per_op = run_program(per_op_groups(p), pc::ExecMode::lockstep, x);
+    expect_bit_identical(grouped.logits, per_op.logits, t.md.name.c_str());
+    expect_same_shares(grouped, per_op, t.md.name.c_str());
+    EXPECT_LE(grouped.rounds, per_op.rounds) << t.md.name;
   }
 }
 
 TEST(CompareStaged, ThreadedMatchesLockstepBothSchedules) {
+  // Both groupings — the scheduled program and its per-op-groups twin.
   for (auto md : {tiny_cnn(nn::OpKind::relu, nn::OpKind::maxpool),
                   proxy_resnet(nn::ActKind::relu, nn::PoolKind::maxpool)}) {
     auto t = train(std::move(md), 600);
@@ -136,9 +136,9 @@ TEST(CompareStaged, ThreadedMatchesLockstepBothSchedules) {
     pc::Prng dprng(601);
     const auto x =
         nn::Tensor::randn({1, t.md.input_ch, t.md.input_h, t.md.input_w}, dprng, 0.5f);
-    for (const auto schedule : {proto::RoundSchedule::coalesced, proto::RoundSchedule::eager}) {
-      const RunResult lock = run_program(p, schedule, pc::ExecMode::lockstep, x);
-      const RunResult thr = run_program(p, schedule, pc::ExecMode::threaded, x);
+    for (const ir::SecureProgram& program : {p, per_op_groups(p)}) {
+      const RunResult lock = run_program(program, pc::ExecMode::lockstep, x);
+      const RunResult thr = run_program(program, pc::ExecMode::threaded, x);
       expect_bit_identical(lock.logits, thr.logits, t.md.name.c_str());
       expect_same_shares(lock, thr, t.md.name.c_str());
       // Exchange-bracketed round counting is deterministic across modes.
@@ -150,17 +150,19 @@ TEST(CompareStaged, ThreadedMatchesLockstepBothSchedules) {
 
 TEST(CompareStaged, DhMaskedOtLogitsBitIdenticalToEager) {
   // The full cryptographic OT path: blinding-key draws differ per merged
-  // batch, so only the reconstructed values are schedule-invariant.
-  auto t = train(tiny_cnn(nn::OpKind::relu, nn::OpKind::maxpool), 620);
-  ir::SecureProgram p = ir::lower(t.md, *t.graph, t.node_of_layer);
-  ir::run_standard_passes(p);
-  pc::Prng dprng(621);
-  const auto x = nn::Tensor::randn({1, 2, 8, 8}, dprng, 0.5f);
-  const RunResult coal = run_program(p, proto::RoundSchedule::coalesced,
-                                     pc::ExecMode::lockstep, x, pc::OtMode::dh_masked);
-  const RunResult eager = run_program(p, proto::RoundSchedule::eager,
-                                      pc::ExecMode::lockstep, x, pc::OtMode::dh_masked);
-  expect_bit_identical(coal.logits, eager.logits, "dh_masked");
+  // batch, so only the reconstructed values are grouping-invariant.
+  for (auto& md : all_test_models()) {
+    auto t = train(md, 620);
+    ir::SecureProgram p = ir::lower(t.md, *t.graph, t.node_of_layer);
+    ir::run_standard_passes(p);
+    pc::Prng dprng(621);
+    const auto x =
+        nn::Tensor::randn({1, t.md.input_ch, t.md.input_h, t.md.input_w}, dprng, 0.5f);
+    const RunResult grouped = run_program(p, pc::ExecMode::lockstep, x, pc::OtMode::dh_masked);
+    const RunResult per_op =
+        run_program(per_op_groups(p), pc::ExecMode::lockstep, x, pc::OtMode::dh_masked);
+    expect_bit_identical(grouped.logits, per_op.logits, t.md.name.c_str());
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -168,21 +170,22 @@ TEST(CompareStaged, DhMaskedOtLogitsBitIdenticalToEager) {
 // ---------------------------------------------------------------------------
 
 TEST(CompareStaged, StoreBackedStagedServingBitIdenticalAcrossSchedules) {
+  // The scheduled program serves through the Workload; per_op_groups(p)
+  // serves through ir::execute on the same canonical per-query contexts,
+  // with triples claimed from a store of its own.
   for (auto md : {tiny_cnn(nn::OpKind::relu, nn::OpKind::maxpool),
                   proxy_resnet(nn::ActKind::relu, nn::PoolKind::maxpool)}) {
     auto t = train(std::move(md), 640);
-    pc::TwoPartyContext ctx_c, ctx_e, ctx_d;
-    proto::SecureConfig eager_cfg;
-    eager_cfg.schedule = proto::RoundSchedule::eager;
-    proto::SecureNetwork coalesced(t.md, *t.graph, t.node_of_layer, ctx_c);
-    proto::SecureNetwork eager(t.md, *t.graph, t.node_of_layer, ctx_e, eager_cfg);
+    pc::TwoPartyContext ctx_c, ctx_d;
+    proto::SecureNetwork grouped(t.md, *t.graph, t.node_of_layer, ctx_c);
     proto::SecureNetwork dealer(t.md, *t.graph, t.node_of_layer, ctx_d);
-    proto::Workload wl_c(coalesced, {proto::WorkloadKind::logits, /*batch=*/1, /*worker_pairs=*/2});
-    proto::Workload wl_e(eager, {proto::WorkloadKind::logits, /*batch=*/1, /*worker_pairs=*/2});
+    proto::Workload wl_c(grouped, {proto::WorkloadKind::logits, /*batch=*/1, /*worker_pairs=*/2});
     proto::Workload wl_d(dealer);
+    const ir::SecureProgram per_op = per_op_groups(grouped.program());
     // The staged comparison phases consume the identical request stream,
-    // so one plan fingerprint covers both schedules.
-    ASSERT_EQ(wl_c.plan().fingerprint(), wl_e.plan().fingerprint()) << t.md.name;
+    // so one plan fingerprint covers both groupings.
+    const off::PreprocessingPlan per_op_plan = ir::derive_plan(per_op, ctx_c.ring());
+    ASSERT_EQ(wl_c.plan().fingerprint(), per_op_plan.fingerprint()) << t.md.name;
 
     pc::Prng dprng(641);
     std::vector<nn::Tensor> queries;
@@ -191,14 +194,15 @@ TEST(CompareStaged, StoreBackedStagedServingBitIdenticalAcrossSchedules) {
           nn::Tensor::randn({1, t.md.input_ch, t.md.input_h, t.md.input_w}, dprng, 0.8f));
     }
     off::TripleStore store_c = wl_c.preprocess(queries.size());
-    off::TripleStore store_e = wl_e.preprocess(queries.size());
+    off::TripleStore store_p = wl_c.preprocess(queries.size());
     wl_c.use_store(&store_c);
-    wl_e.use_store(&store_e);
     const auto out_c = wl_c.run(queries).logits;
-    const auto out_e = wl_e.run(queries).logits;
     const auto out_d = wl_d.run(queries).logits;  // fused dealer path
     for (std::size_t q = 0; q < queries.size(); ++q) {
-      expect_bit_identical(out_c[q], out_e[q], "store coalesced vs eager");
+      const auto [idx, bundle] = store_p.claim_next();
+      const ir::ExecResult out_p =
+          pasnet::testing::execute_at_position(per_op, grouped.params(), queries[q], idx, bundle);
+      expect_bit_identical(out_c[q], out_p.logits, "store scheduled vs per-op groups");
       expect_bit_identical(out_c[q], out_d[q], "store vs dealer");
     }
   }
@@ -287,10 +291,18 @@ TEST(CompareStaged, DreluAgreesWithPlaintextSignOnEdgeValues) {
 }
 
 TEST(CompareStaged, StagedReluMatchesBlockingReluSharewise) {
-  // The one-shot relu drives the same staged machine the executor groups;
-  // under immediate buffers its transcript must equal the coalesced staged
-  // run's values exactly (same material, same arithmetic).
+  // The standalone crypto::relu flushes after every phase of the staged
+  // machine the executor groups; on the same context seed and input
+  // shares, the executor's relu op must produce exactly its shares (same
+  // material, same arithmetic) and spend its rounds plus one reveal.
   const pc::RingConfig rc{};
+  ir::Op relu;
+  relu.kind = ir::OpKind::relu;
+  relu.in_ch = relu.out_ch = 40;
+  relu.in_h = relu.in_w = relu.out_h = relu.out_w = 1;
+  const ir::SecureProgram program = pasnet::testing::single_op_program(relu);
+  pc::Prng wprng(1);
+  const ir::CompiledParams params = ir::share_parameters(program, wprng, rc);  // relu: empty
   for (std::uint64_t seed = 21; seed <= 23; ++seed) {
     pc::Prng prng(seed);
     pc::RingVec vals(40);
@@ -299,16 +311,20 @@ TEST(CompareStaged, StagedReluMatchesBlockingReluSharewise) {
     const pc::Shared xa = pc::share(vals, prng, rc);
     const pc::Shared out_a = pc::relu(ctx_a, xa, pc::OtMode::correlated);
 
-    // Same context seed, staged drive with coalescing buffers on.
-    ctx_b.opens().set_coalescing(true);
-    ctx_b.ots().set_coalescing(true);
-    ctx_b.bit_opens().set_coalescing(true);
-    const pc::Shared out_b = pc::relu(ctx_b, xa, pc::OtMode::correlated);
-    ctx_b.opens().set_coalescing(false);
-    ctx_b.ots().set_coalescing(false);
-    ctx_b.bit_opens().set_coalescing(false);
+    // Same context seed, driven by the executor as a one-op program.
+    proto::SecureTensor input;
+    input.shape = {1, 40};
+    input.shares = xa;
+    ir::ExecOptions opts;
+    opts.input_shares = &input;
+    pc::Shared out_b;
+    opts.op_hook = [&out_b](std::size_t i, const proto::SecureTensor& t) {
+      if (i == 1) out_b = t.shares;
+    };
+    (void)ir::execute(program, params, ctx_b, nn::Tensor(), opts);
     ASSERT_EQ(out_a.s0, out_b.s0);
     ASSERT_EQ(out_a.s1, out_b.s1);
+    EXPECT_EQ(ctx_b.stats().rounds, ctx_a.stats().rounds + 1);
     // Reconstruction matches plaintext ReLU of the signed values.
     const auto r = pc::reconstruct(out_a, rc);
     for (std::size_t i = 0; i < vals.size(); ++i) {

@@ -8,9 +8,11 @@
 #include "perf/lut.hpp"
 #include "data/synthetic.hpp"
 #include "proto/secure_ops.hpp"
+#include "support/test_models.hpp"
 
 namespace bl = pasnet::baselines;
 namespace core = pasnet::core;
+namespace ir = pasnet::ir;
 namespace nn = pasnet::nn;
 namespace pc = pasnet::crypto;
 namespace perf = pasnet::perf;
@@ -20,22 +22,34 @@ TEST(FailureInjection, SecureConvRejectsWrongWeightShape) {
   pc::TwoPartyContext ctx;
   pc::Prng prng(1);
   const auto x = nn::Tensor::randn({1, 2, 4, 4}, prng, 1.0f);
-  const auto sx = proto::share_tensor(x, prng, ctx.ring());
-  const auto bad_w = pc::share_reals(std::vector<double>(10, 0.1), prng, ctx.ring());
-  EXPECT_THROW((void)proto::secure_conv2d(ctx, sx, bad_w, nullptr, 4, 3, 1, 1),
-               std::invalid_argument);
-  EXPECT_THROW((void)proto::secure_depthwise_conv2d(ctx, sx, bad_w, 3, 1, 1),
-               std::invalid_argument);
+  for (const auto kind : {ir::OpKind::conv, ir::OpKind::depthwise_conv}) {
+    ir::Op conv;
+    conv.kind = kind;
+    conv.in_ch = 2;
+    conv.in_h = conv.in_w = 4;
+    conv.out_ch = kind == ir::OpKind::conv ? 4 : 2;
+    conv.out_h = conv.out_w = 4;
+    conv.kernel = 3;
+    conv.pad = 1;
+    conv.weight.assign(10, 0.1);  // fits neither 4x2x3x3 nor 2x3x3
+    EXPECT_THROW((void)pasnet::testing::run_single_op(ctx, conv, x), std::invalid_argument)
+        << ir::op_kind_name(kind);
+    // The unwound run leaves no stage behind on the reused context.
+    EXPECT_FALSE(ctx.opens().has_pending());
+  }
 }
 
 TEST(FailureInjection, SecureLinearRejectsWrongWeightShape) {
   pc::TwoPartyContext ctx;
   pc::Prng prng(2);
   const auto x = nn::Tensor::randn({2, 8}, prng, 1.0f);
-  const auto sx = proto::share_tensor(x, prng, ctx.ring());
-  const auto bad_w = pc::share_reals(std::vector<double>(7, 0.1), prng, ctx.ring());
-  EXPECT_THROW((void)proto::secure_linear(ctx, sx, bad_w, nullptr, 3),
-               std::invalid_argument);
+  ir::Op fc;
+  fc.kind = ir::OpKind::linear;
+  fc.in_ch = fc.in_features = 8;
+  fc.out_ch = fc.out_features = 3;
+  fc.in_h = fc.in_w = fc.out_h = fc.out_w = 1;
+  fc.weight.assign(7, 0.1);  // not 3x8
+  EXPECT_THROW((void)pasnet::testing::run_single_op(ctx, fc, x), std::invalid_argument);
 }
 
 TEST(FailureInjection, SecureAddRejectsShapeMismatch) {

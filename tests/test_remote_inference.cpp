@@ -182,12 +182,19 @@ TEST(RemoteInference, FusedTwoProcessLogitsBitIdenticalAndTrafficEqual) {
 }
 
 TEST(RemoteInference, EagerScheduleMatchesToo) {
-  proto::SecureConfig cfg;
-  cfg.schedule = proto::RoundSchedule::eager;
-  RemoteFixture f(nn::OpKind::relu, nn::OpKind::maxpool, 1, cfg);
-  const auto outcome =
-      run_remote(f, f.snet->program(), [&](int) { return fused_opts(cfg); });
-  expect_remote_matches_reference(f, f.snet->program(), cfg, outcome);
+  // The eager grouping (per_op_groups: every staged op flushes on its
+  // own) of the same program: the two
+  // endpoints must still agree with the in-process transcript, and the
+  // regrouping must not move a logit.
+  RemoteFixture f(nn::OpKind::relu, nn::OpKind::maxpool, 1);
+  const proto::SecureConfig cfg;
+  const ir::SecureProgram per_op = pasnet::testing::per_op_groups(f.snet->program());
+  const auto outcome = run_remote(f, per_op, [&](int) { return fused_opts(cfg); });
+  expect_remote_matches_reference(f, per_op, cfg, outcome);
+  const ir::ExecResult scheduled =
+      reference_query(f, f.snet->program(), 0, pc::ExecMode::lockstep, cfg, nullptr);
+  expect_same_logits(outcome.first.results[0].logits, scheduled.logits,
+                     "per-op groups vs scheduled");
 }
 
 TEST(RemoteInference, DhMaskedOtRunsOverTheRealWire) {

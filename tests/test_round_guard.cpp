@@ -5,7 +5,8 @@
 // AND-tree depth, B2A + mux, coalesced E/F openings, the staged-comparison
 // lockstep walk — so a mismatch in either direction means the executor
 // spends different exchanges than the model prices; both drifts should
-// fail loudly.
+// fail loudly.  Every guard holds for the scheduled program and for
+// per_op_groups of it, which prices flushing after every op.
 
 #include <gtest/gtest.h>
 
@@ -26,7 +27,9 @@ namespace perf = pasnet::perf;
 namespace proto = pasnet::proto;
 
 using pasnet::testing::measured_program_rounds;
+using pasnet::testing::measured_program_traffic;
 using pasnet::testing::parallel_relu_program;
+using pasnet::testing::per_op_groups;
 using pasnet::testing::tiny_cnn;
 using pasnet::testing::warm_up;
 
@@ -36,9 +39,9 @@ perf::LatencyModel model() {
   return perf::LatencyModel(perf::HardwareConfig::zcu104(), perf::NetworkConfig::lan_1gbps());
 }
 
-/// Measured vs analytic rounds for one trained model: exact equality under
-/// the coalesced (default) schedule, for a single query AND for a K-lane
-/// batched chunk (profile_program's `batch` parameter prices the chunk).
+/// Measured vs analytic rounds for one trained model: exact equality for
+/// a single query AND for a K-lane batched chunk (profile_program's
+/// `batch` parameter prices the chunk).
 void expect_measured_equals_analytic(nn::ModelDescriptor md, std::uint64_t seed,
                                      int batch = 1) {
   pc::Prng wprng(seed);
@@ -70,8 +73,8 @@ void expect_measured_equals_analytic(nn::ModelDescriptor md, std::uint64_t seed,
       << batch << ")";
   // Byte regression guard: the analytic wire-byte model prices every
   // opening, OT message and packed bit open exactly — including the one
-  // ephemeral sender key per merged OT batch the coalesced flush ships
-  // (merged across the whole batch in a K-lane chunk).
+  // ephemeral sender key per merged OT batch a group flush ships (merged
+  // across the whole batch in a K-lane chunk).
   EXPECT_EQ(measured_bytes, cost.wire_bytes)
       << md.name << ": measured bytes diverge from the analytic prediction (batch "
       << batch << ")";
@@ -174,7 +177,7 @@ TEST(RoundGuard, ParallelReluRoundsIndependentOfInstanceCount) {
   // The cross-instance coalescing acceptance bar: K independent ReLUs in
   // one round group cost the rounds of ONE comparison stack (shared OT
   // digits + shared AND levels + shared B2A/mux openings), exactly as the
-  // analytic walk predicts — while the eager schedule pays per instance.
+  // analytic walk predicts — while one group per ReLU pays per instance.
   const auto m = model();
   std::uint64_t shared_rounds = 0;
   for (const int k : {1, 2, 4, 16}) {
@@ -184,28 +187,30 @@ TEST(RoundGuard, ParallelReluRoundsIndependentOfInstanceCount) {
         EXPECT_EQ(op.round_group, 0) << p.name;
       }
     }
-    const pc::TrafficStats coalesced_traffic =
-        pasnet::testing::measured_program_traffic(p, proto::RoundSchedule::coalesced);
-    const std::uint64_t coalesced = coalesced_traffic.rounds;
+    const pc::TrafficStats grouped_traffic = measured_program_traffic(p);
+    const std::uint64_t grouped = grouped_traffic.rounds;
     const perf::ProgramCost cost =
         perf::profile_program(m, p, pc::RingConfig{}.bits, pc::RingConfig{}.wire_bits);
-    EXPECT_EQ(coalesced, static_cast<std::uint64_t>(cost.total.rounds)) << p.name;
+    EXPECT_EQ(grouped, static_cast<std::uint64_t>(cost.total.rounds)) << p.name;
     // The merged-OT byte asymmetry, priced exactly: one ephemeral sender
-    // key per merged flush means the coalesced schedule moves 8·(K-1)
-    // fewer bytes than eager for K merged ReLUs — both figures analytic.
-    const pc::TrafficStats eager_traffic =
-        pasnet::testing::measured_program_traffic(p, proto::RoundSchedule::eager);
-    EXPECT_EQ(coalesced_traffic.total_bytes(), cost.wire_bytes) << p.name;
-    EXPECT_EQ(eager_traffic.total_bytes(), cost.wire_bytes_eager) << p.name;
-    EXPECT_EQ(cost.wire_bytes_eager - cost.wire_bytes,
-              8u * static_cast<std::uint64_t>(k - 1))
+    // key per merged flush means the grouped program moves 8·(K-1) fewer
+    // bytes than one group per ReLU — both figures analytic.
+    const ir::SecureProgram per_op = per_op_groups(p);
+    const pc::TrafficStats per_op_traffic = measured_program_traffic(per_op);
+    const perf::ProgramCost per_op_cost =
+        perf::profile_program(m, per_op, pc::RingConfig{}.bits, pc::RingConfig{}.wire_bits);
+    EXPECT_EQ(grouped_traffic.total_bytes(), cost.wire_bytes) << p.name;
+    EXPECT_EQ(per_op_traffic.total_bytes(), per_op_cost.wire_bytes) << p.name;
+    EXPECT_EQ(per_op_traffic.rounds, static_cast<std::uint64_t>(per_op_cost.total.rounds))
+        << p.name;
+    EXPECT_EQ(per_op_cost.wire_bytes - cost.wire_bytes, 8u * static_cast<std::uint64_t>(k - 1))
         << p.name;
     if (k == 1) {
-      shared_rounds = coalesced;
+      shared_rounds = grouped;
     } else {
-      EXPECT_EQ(coalesced, shared_rounds)
+      EXPECT_EQ(grouped, shared_rounds)
           << p.name << ": grouped comparison rounds must not depend on K";
-      EXPECT_GT(eager_traffic.rounds, coalesced) << p.name;
+      EXPECT_GT(per_op_traffic.rounds, grouped) << p.name;
     }
   }
 }
@@ -233,16 +238,16 @@ TEST(RoundGuard, MixedCompareGroupSharesHeterogeneousPhases) {
     }
   }
   const auto m = model();
-  const std::uint64_t coalesced = measured_program_rounds(p, proto::RoundSchedule::coalesced);
+  const std::uint64_t grouped = measured_program_rounds(p);
   const perf::ProgramCost cost = perf::profile_program(m, p, pc::RingConfig{}.bits);
-  EXPECT_EQ(coalesced, static_cast<std::uint64_t>(cost.total.rounds));
+  EXPECT_EQ(grouped, static_cast<std::uint64_t>(cost.total.rounds));
 
   ir::SecureProgram pool_only = p;
   pool_only.ops.erase(pool_only.ops.begin() + 1, pool_only.ops.begin() + 3);
   pool_only.ops[1].in0 = 0;
   pool_only.output = 1;
   ir::schedule_rounds(pool_only);
-  EXPECT_EQ(coalesced, measured_program_rounds(pool_only, proto::RoundSchedule::coalesced))
+  EXPECT_EQ(grouped, measured_program_rounds(pool_only))
       << "relus must ride the pool's first-level phases for free";
 }
 

@@ -11,12 +11,15 @@
 #include <thread>
 
 #include "nn/layers.hpp"
+#include "perf/ir_cost.hpp"
 #include "proto/secure_network.hpp"
 #include "proto/workload.hpp"
 #include "support/test_models.hpp"
 
+namespace ir = pasnet::ir;
 namespace nn = pasnet::nn;
 namespace pc = pasnet::crypto;
+namespace perf = pasnet::perf;
 namespace proto = pasnet::proto;
 
 using pasnet::testing::max_abs_diff;
@@ -233,7 +236,6 @@ TEST(RoundAccounting, CoalescedMultiOpenFlushIsOneRound) {
   const auto a = pc::share(pc::RingVec{1, 2}, prng, ctx.ring());
   const auto b = pc::share(pc::RingVec{3, 4, 5}, prng, ctx.ring());
   const auto c = pc::share(pc::RingVec{6}, prng, ctx.ring());
-  ctx.opens().set_coalescing(true);
   ctx.reset_stats();
   pc::RingVec ra, rb, rc_;
   ctx.opens().stage(a, &ra);
@@ -246,64 +248,56 @@ TEST(RoundAccounting, CoalescedMultiOpenFlushIsOneRound) {
   EXPECT_EQ(ra, pc::reconstruct(a, ctx.ring()));
   EXPECT_EQ(rb, pc::reconstruct(b, ctx.ring()));
   EXPECT_EQ(rc_, pc::reconstruct(c, ctx.ring()));
-  ctx.opens().set_coalescing(false);
-}
-
-TEST(RoundAccounting, ImmediateModeOpensPerStage) {
-  pc::TwoPartyContext ctx;
-  pc::Prng prng(13);
-  const auto a = pc::share(pc::RingVec{1, 2}, prng, ctx.ring());
-  const auto b = pc::share(pc::RingVec{3, 4}, prng, ctx.ring());
-  ctx.reset_stats();
-  pc::RingVec ra, rb;
-  ctx.opens().stage(a, &ra);
-  ctx.opens().stage(b, &rb);
-  ctx.opens().flush();  // no-op: everything already opened
-  EXPECT_EQ(ctx.stats().rounds, 2u);
-  EXPECT_EQ(ra, pc::reconstruct(a, ctx.ring()));
-  EXPECT_EQ(rb, pc::reconstruct(b, ctx.ring()));
 }
 
 TEST(RoundAccounting, DiscardDropsPendingStagesAndKeepsBufferUsable) {
   // Error-path contract: an unwound protocol step discards its pending
   // stages (no dangling output pointers), after which the buffer accepts
-  // mode switches and fresh work.
+  // fresh work.
   pc::TwoPartyContext ctx;
   pc::Prng prng(16);
   const auto a = pc::share(pc::RingVec{7, 8}, prng, ctx.ring());
-  ctx.opens().set_coalescing(true);
   pc::RingVec ra;
   ctx.opens().stage(a, &ra);
   EXPECT_TRUE(ctx.opens().has_pending());
-  EXPECT_THROW(ctx.opens().set_coalescing(false), std::logic_error);
   ctx.opens().discard();
   EXPECT_FALSE(ctx.opens().has_pending());
-  ctx.opens().set_coalescing(false);  // no throw once drained
   ctx.reset_stats();
   ctx.opens().flush();  // nothing pending: no traffic
   EXPECT_EQ(ctx.stats().messages, 0u);
+  EXPECT_TRUE(ra.empty());  // the discarded stage never wrote its output
   pc::RingVec rb;
-  ctx.opens().stage(a, &rb);  // immediate mode still works
+  ctx.opens().stage(a, &rb);
+  EXPECT_EQ(ctx.stats().messages, 0u);  // a stage waits for the flush
+  ctx.opens().flush();
+  EXPECT_EQ(ctx.stats().rounds, 1u);
   EXPECT_EQ(rb, pc::reconstruct(a, ctx.ring()));
 }
 
 TEST(RoundAccounting, MeasuredConvRoundsMatchAnalyticUnderCoalescing) {
   // The analytic model prices a conv at ONE round (E and F in the same
-  // exchange); the coalesced executor must measure exactly that.
+  // exchange); the executor must measure exactly that, plus the one
+  // terminal reveal of the conv's output.
   pc::TwoPartyContext ctx;
   pc::Prng prng(14), wprng(15);
   nn::Conv2d conv(2, 4, 3, 1, 1, wprng);
   const auto x = nn::Tensor::randn({1, 2, 6, 6}, prng, 0.5f);
-  const auto sx = proto::share_tensor(x, prng, ctx.ring());
-  const auto sw = pc::share_reals(conv.weight().to_doubles(), prng, ctx.ring());
-  ctx.opens().set_coalescing(true);
-  ctx.reset_stats();
-  (void)proto::secure_conv2d(ctx, sx, sw, nullptr, 4, 3, 1, 1);
-  EXPECT_EQ(ctx.stats().rounds, 1u);
-  ctx.opens().set_coalescing(false);
-  ctx.reset_stats();
-  (void)proto::secure_conv2d(ctx, sx, sw, nullptr, 4, 3, 1, 1);
-  EXPECT_EQ(ctx.stats().rounds, 2u);  // eager: E then F
+  ir::Op op;
+  op.kind = ir::OpKind::conv;
+  op.in_ch = 2;
+  op.out_ch = 4;
+  op.in_h = op.in_w = op.out_h = op.out_w = 6;
+  op.kernel = 3;
+  op.pad = 1;
+  op.weight = conv.weight().to_doubles();
+  const auto m = perf::LatencyModel(perf::HardwareConfig::zcu104(),
+                                    perf::NetworkConfig::lan_1gbps());
+  EXPECT_EQ(perf::ir_op_cost(m, op).rounds, 1);
+  const perf::ProgramCost cost = perf::profile_program(m, pasnet::testing::single_op_program(op));
+  (void)pasnet::testing::run_single_op(ctx, op, x);
+  EXPECT_EQ(ctx.stats().rounds, 2u);
+  EXPECT_EQ(ctx.stats().rounds, static_cast<std::uint64_t>(cost.total.rounds));
+  EXPECT_EQ(ctx.stats().total_bytes(), cost.wire_bytes);
 }
 
 // ---------------------------------------------------------------------------

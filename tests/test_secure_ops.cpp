@@ -1,13 +1,22 @@
+// Operator-level 2PC tests.  Every communicating operator runs through
+// the IR executor as a one-op program (support/test_models.hpp
+// single_op_program) and is checked against its plaintext layer; the
+// local operators and the argmax terminal are called directly.
+
 #include <gtest/gtest.h>
 
 #include <cmath>
 
 #include "nn/layers.hpp"
 #include "proto/secure_ops.hpp"
+#include "support/test_models.hpp"
 
+namespace ir = pasnet::ir;
 namespace nn = pasnet::nn;
 namespace pc = pasnet::crypto;
 namespace proto = pasnet::proto;
+
+using pasnet::testing::run_single_op;
 
 namespace {
 
@@ -21,6 +30,54 @@ float max_abs_diff(const nn::Tensor& a, const nn::Tensor& b) {
 nn::Tensor random_tensor(std::vector<int> shape, std::uint64_t seed, float scale = 1.0f) {
   pc::Prng prng(seed);
   return nn::Tensor::randn(std::move(shape), prng, scale);
+}
+
+/// An IR op of `kind` with its batch-1 geometry taken from NCHW (or
+/// [N, features]) input/output shapes.
+ir::Op shaped_op(ir::OpKind kind, const std::vector<int>& in, const std::vector<int>& out) {
+  ir::Op op;
+  op.kind = kind;
+  const auto geometry = [](const std::vector<int>& s, int& c, int& h, int& w) {
+    c = s[1];
+    h = s.size() == 4 ? s[2] : 1;
+    w = s.size() == 4 ? s[3] : 1;
+  };
+  geometry(in, op.in_ch, op.in_h, op.in_w);
+  geometry(out, op.out_ch, op.out_h, op.out_w);
+  op.in_features = static_cast<int>(op.input_elems());
+  op.out_features = static_cast<int>(op.output_elems());
+  return op;
+}
+
+/// A (depthwise) convolution op carrying the plaintext layer's weights.
+ir::Op conv_op(ir::OpKind kind, const nn::Tensor& x, const nn::Tensor& want,
+               const nn::Tensor& weight, const nn::Tensor* bias, int kernel, int stride, int pad) {
+  ir::Op op = shaped_op(kind, x.shape(), want.shape());
+  op.kernel = kernel;
+  op.stride = stride;
+  op.pad = pad;
+  op.weight = weight.to_doubles();
+  if (bias != nullptr) {
+    op.bias = bias->to_doubles();
+    op.has_bias = true;
+  }
+  return op;
+}
+
+ir::Op x2act_op(const nn::Tensor& x, double a_coeff, double w2, double b) {
+  ir::Op op = shaped_op(ir::OpKind::x2act, x.shape(), x.shape());
+  op.a_coeff = a_coeff;
+  op.act_w2 = w2;
+  op.act_b = b;
+  return op;
+}
+
+ir::Op maxpool_op(const nn::Tensor& x, const nn::Tensor& want, int kernel, int stride, int pad) {
+  ir::Op op = shaped_op(ir::OpKind::maxpool, x.shape(), want.shape());
+  op.kernel = kernel;
+  op.stride = stride;
+  op.pad = pad;
+  return op;
 }
 
 }  // namespace
@@ -37,123 +94,111 @@ TEST(SecureTensor, ShareReconstructRoundTrip) {
 
 TEST(SecureConv, MatchesPlaintextConv) {
   pc::TwoPartyContext ctx;
-  pc::Prng prng(3), wprng(4);
+  pc::Prng wprng(4);
   nn::Conv2d conv(2, 4, 3, 1, 1, wprng);
   const auto x = random_tensor({1, 2, 6, 6}, 5, 0.5f);
   const auto want = conv.forward(x, false);
 
-  const auto sx = proto::share_tensor(x, prng, ctx.ring());
-  const auto sw = pc::share_reals(conv.weight().to_doubles(), prng, ctx.ring());
-  const auto out = proto::secure_conv2d(ctx, sx, sw, nullptr, 4, 3, 1, 1);
-  EXPECT_EQ(out.shape, want.shape());
-  EXPECT_LT(max_abs_diff(proto::reconstruct_tensor(out, ctx.ring()), want), 0.05f);
+  const auto out = run_single_op(
+      ctx, conv_op(ir::OpKind::conv, x, want, conv.weight(), nullptr, 3, 1, 1), x);
+  EXPECT_EQ(out.shape(), want.shape());
+  EXPECT_LT(max_abs_diff(out, want), 0.05f);
 }
 
 TEST(SecureConv, StridedWithBias) {
   pc::TwoPartyContext ctx;
-  pc::Prng prng(6), wprng(7);
+  pc::Prng wprng(7);
   nn::Conv2d conv(3, 2, 3, 2, 1, wprng, /*bias=*/true);
   conv.bias()[0] = 0.5f;
   conv.bias()[1] = -0.25f;
   const auto x = random_tensor({2, 3, 8, 8}, 8, 0.5f);
   const auto want = conv.forward(x, false);
 
-  const auto sx = proto::share_tensor(x, prng, ctx.ring());
-  const auto sw = pc::share_reals(conv.weight().to_doubles(), prng, ctx.ring());
-  const auto sb = pc::share_reals(conv.bias().to_doubles(), prng, ctx.ring());
-  const auto out = proto::secure_conv2d(ctx, sx, sw, &sb, 2, 3, 2, 1);
-  EXPECT_LT(max_abs_diff(proto::reconstruct_tensor(out, ctx.ring()), want), 0.05f);
+  const auto out = run_single_op(
+      ctx, conv_op(ir::OpKind::conv, x, want, conv.weight(), &conv.bias(), 3, 2, 1), x);
+  EXPECT_EQ(out.shape(), want.shape());
+  EXPECT_LT(max_abs_diff(out, want), 0.05f);
 }
 
 TEST(SecureDepthwiseConv, MatchesPlaintext) {
   pc::TwoPartyContext ctx;
-  pc::Prng prng(9), wprng(10);
+  pc::Prng wprng(10);
   nn::DepthwiseConv2d dw(3, 3, 1, 1, wprng);
   const auto x = random_tensor({1, 3, 5, 5}, 11, 0.5f);
   const auto want = dw.forward(x, false);
 
-  const auto sx = proto::share_tensor(x, prng, ctx.ring());
-  const auto sw = pc::share_reals(dw.weight().to_doubles(), prng, ctx.ring());
-  const auto out = proto::secure_depthwise_conv2d(ctx, sx, sw, 3, 1, 1);
-  EXPECT_LT(max_abs_diff(proto::reconstruct_tensor(out, ctx.ring()), want), 0.05f);
+  const auto out = run_single_op(
+      ctx, conv_op(ir::OpKind::depthwise_conv, x, want, dw.weight(), nullptr, 3, 1, 1), x);
+  EXPECT_EQ(out.shape(), want.shape());
+  EXPECT_LT(max_abs_diff(out, want), 0.05f);
 }
 
 TEST(SecureLinear, MatchesPlaintext) {
   pc::TwoPartyContext ctx;
-  pc::Prng prng(12), wprng(13);
+  pc::Prng wprng(13);
   nn::Linear fc(10, 4, wprng);
   const auto x = random_tensor({3, 10}, 14, 0.5f);
   const auto want = fc.forward(x, false);
 
-  const auto sx = proto::share_tensor(x, prng, ctx.ring());
-  const auto sw = pc::share_reals(fc.weight().to_doubles(), prng, ctx.ring());
-  const auto sb = pc::share_reals(fc.bias().to_doubles(), prng, ctx.ring());
-  const auto out = proto::secure_linear(ctx, sx, sw, &sb, 4);
-  EXPECT_EQ(out.shape, want.shape());
-  EXPECT_LT(max_abs_diff(proto::reconstruct_tensor(out, ctx.ring()), want), 0.05f);
+  ir::Op op = shaped_op(ir::OpKind::linear, x.shape(), want.shape());
+  op.weight = fc.weight().to_doubles();
+  op.bias = fc.bias().to_doubles();
+  op.has_bias = true;
+  const auto out = run_single_op(ctx, std::move(op), x);
+  EXPECT_EQ(out.shape(), want.shape());
+  EXPECT_LT(max_abs_diff(out, want), 0.05f);
 }
 
 TEST(SecureX2act, MatchesPlaintextPolynomial) {
   pc::TwoPartyContext ctx;
-  pc::Prng prng(15);
   nn::X2Act act(0.4f, 0.9f, 0.1f);
   const auto x = random_tensor({2, 2, 3, 3}, 16, 0.8f);
   const auto want = act.forward(x, false);
 
-  const auto sx = proto::share_tensor(x, prng, ctx.ring());
   const double a = act.effective_quadratic_coeff(2 * 3 * 3);
-  const auto out = proto::secure_x2act(ctx, sx, a, act.w2(), act.b());
-  EXPECT_LT(max_abs_diff(proto::reconstruct_tensor(out, ctx.ring()), want), 0.05f);
+  const auto out = run_single_op(ctx, x2act_op(x, a, act.w2(), act.b()), x);
+  EXPECT_LT(max_abs_diff(out, want), 0.05f);
 }
 
 TEST(SecureX2act, StpaiIdentityPassthrough) {
   pc::TwoPartyContext ctx;
-  pc::Prng prng(17);
   const auto x = random_tensor({1, 4}, 18);
-  const auto sx = proto::share_tensor(x, prng, ctx.ring());
-  const auto out = proto::secure_x2act(ctx, sx, 0.0, 1.0, 0.0);
-  EXPECT_LT(max_abs_diff(proto::reconstruct_tensor(out, ctx.ring()), x), 2e-3f);
+  const auto out = run_single_op(ctx, x2act_op(x, 0.0, 1.0, 0.0), x);
+  EXPECT_LT(max_abs_diff(out, x), 2e-3f);
 }
 
 TEST(SecureRelu, MatchesPlaintextBothOtModes) {
   for (const auto mode : {pc::OtMode::dh_masked, pc::OtMode::correlated}) {
     pc::TwoPartyContext ctx;
-    pc::Prng prng(19);
     nn::Relu relu;
     const auto x = random_tensor({1, 2, 4, 4}, 20, 2.0f);
     const auto want = relu.forward(x, false);
-    const auto sx = proto::share_tensor(x, prng, ctx.ring());
-    proto::SecureConfig cfg;
-    cfg.ot_mode = mode;
-    const auto out = proto::secure_relu(ctx, sx, cfg);
-    EXPECT_LT(max_abs_diff(proto::reconstruct_tensor(out, ctx.ring()), want), 2e-3f);
+    const auto out = run_single_op(ctx, shaped_op(ir::OpKind::relu, x.shape(), x.shape()), x,
+                                   proto::SecureConfig{mode});
+    EXPECT_LT(max_abs_diff(out, want), 2e-3f);
   }
 }
 
 TEST(SecureMaxpool, MatchesPlaintextOnPositiveInputs) {
   pc::TwoPartyContext ctx;
-  pc::Prng prng(21);
   nn::MaxPool2d pool(2, 2);
   auto x = random_tensor({1, 2, 4, 4}, 22);
   for (std::size_t i = 0; i < x.size(); ++i) x[i] = std::abs(x[i]);  // post-ReLU regime
   const auto want = pool.forward(x, false);
-  const auto sx = proto::share_tensor(x, prng, ctx.ring());
-  const auto out = proto::secure_maxpool(ctx, sx, 2, 2, proto::SecureConfig{});
-  EXPECT_EQ(out.shape, want.shape());
-  EXPECT_LT(max_abs_diff(proto::reconstruct_tensor(out, ctx.ring()), want), 5e-3f);
+  const auto out = run_single_op(ctx, maxpool_op(x, want, 2, 2, 0), x);
+  EXPECT_EQ(out.shape(), want.shape());
+  EXPECT_LT(max_abs_diff(out, want), 5e-3f);
 }
 
 TEST(SecureMaxpool, ThreeByThreeWindowTree) {
   pc::TwoPartyContext ctx;
-  pc::Prng prng(23);
   nn::MaxPool2d pool(3, 2, 1);
   auto x = random_tensor({1, 1, 7, 7}, 24);
   for (std::size_t i = 0; i < x.size(); ++i) x[i] = std::abs(x[i]);
   const auto want = pool.forward(x, false);
-  const auto sx = proto::share_tensor(x, prng, ctx.ring());
-  const auto out = proto::secure_maxpool(ctx, sx, 3, 2, proto::SecureConfig{}, 1);
-  EXPECT_EQ(out.shape, want.shape());
-  EXPECT_LT(max_abs_diff(proto::reconstruct_tensor(out, ctx.ring()), want), 5e-3f);
+  const auto out = run_single_op(ctx, maxpool_op(x, want, 3, 2, 1), x);
+  EXPECT_EQ(out.shape(), want.shape());
+  EXPECT_LT(max_abs_diff(out, want), 5e-3f);
 }
 
 TEST(SecureMaxpool, NonzeroPadMatchesPlaintextBothContexts) {
@@ -162,29 +207,25 @@ TEST(SecureMaxpool, NonzeroPadMatchesPlaintextBothContexts) {
   // batched tournament must agree under both execution modes.
   for (const auto mode : {pc::ExecMode::lockstep, pc::ExecMode::threaded}) {
     pc::TwoPartyContext ctx(pc::RingConfig{}, 42, mode);
-    pc::Prng prng(50);
     nn::MaxPool2d pool(2, 2, 1);
     auto x = random_tensor({2, 3, 5, 5}, 51);
     for (std::size_t i = 0; i < x.size(); ++i) x[i] = std::abs(x[i]);
     const auto want = pool.forward(x, false);
-    const auto sx = proto::share_tensor(x, prng, ctx.ring());
-    const auto out = proto::secure_maxpool(ctx, sx, 2, 2, proto::SecureConfig{}, 1);
-    EXPECT_EQ(out.shape, want.shape());
-    EXPECT_LT(max_abs_diff(proto::reconstruct_tensor(out, ctx.ring()), want), 5e-3f);
+    const auto out = run_single_op(ctx, maxpool_op(x, want, 2, 2, 1), x);
+    EXPECT_EQ(out.shape(), want.shape());
+    EXPECT_LT(max_abs_diff(out, want), 5e-3f);
   }
 }
 
 TEST(SecureMaxpool, PadWithStrideOneOverlappingWindows) {
   pc::TwoPartyContext ctx;
-  pc::Prng prng(52);
   nn::MaxPool2d pool(3, 1, 1);
   auto x = random_tensor({1, 2, 6, 6}, 53);
   for (std::size_t i = 0; i < x.size(); ++i) x[i] = std::abs(x[i]);
   const auto want = pool.forward(x, false);
-  const auto sx = proto::share_tensor(x, prng, ctx.ring());
-  const auto out = proto::secure_maxpool(ctx, sx, 3, 1, proto::SecureConfig{}, 1);
-  EXPECT_EQ(out.shape, want.shape());
-  EXPECT_LT(max_abs_diff(proto::reconstruct_tensor(out, ctx.ring()), want), 5e-3f);
+  const auto out = run_single_op(ctx, maxpool_op(x, want, 3, 1, 1), x);
+  EXPECT_EQ(out.shape(), want.shape());
+  EXPECT_LT(max_abs_diff(out, want), 5e-3f);
 }
 
 TEST(SecureArgmax, TieBreaksToLowestIndexBothContexts) {
@@ -279,21 +320,22 @@ TEST(SecureFlatten, ReshapesShares) {
 TEST(SecureConv, ReluCommunicationDwarfsConvCommunication) {
   // The motivating observation of the paper, measured on the *real*
   // protocol stack rather than the analytic model.
-  pc::TwoPartyContext ctx;
-  pc::Prng prng(36);
   const auto x = random_tensor({1, 8, 8, 8}, 37, 0.5f);
-  const auto sx = proto::share_tensor(x, prng, ctx.ring());
-
   pc::Prng wprng(38);
   nn::Conv2d conv(8, 8, 3, 1, 1, wprng);
-  const auto sw = pc::share_reals(conv.weight().to_doubles(), prng, ctx.ring());
-  ctx.reset_stats();
-  (void)proto::secure_conv2d(ctx, sx, sw, nullptr, 8, 3, 1, 1);
-  const auto conv_bytes = ctx.stats().total_bytes();
+  const auto want = conv.forward(x, false);
+  // Both ops map 512 elements to 512, so both runs end with the same
+  // terminal reveal; subtract it to compare the ops' own traffic.
+  const std::uint64_t reveal_bytes = 2u * 4u * x.size();
 
-  ctx.reset_stats();
-  (void)proto::secure_relu(ctx, sx, proto::SecureConfig{});
-  const auto relu_bytes = ctx.stats().total_bytes();
+  pc::TwoPartyContext conv_ctx;
+  (void)run_single_op(conv_ctx,
+                      conv_op(ir::OpKind::conv, x, want, conv.weight(), nullptr, 3, 1, 1), x);
+  const auto conv_bytes = conv_ctx.stats().total_bytes() - reveal_bytes;
+
+  pc::TwoPartyContext relu_ctx;
+  (void)run_single_op(relu_ctx, shaped_op(ir::OpKind::relu, x.shape(), x.shape()), x);
+  const auto relu_bytes = relu_ctx.stats().total_bytes() - reveal_bytes;
   EXPECT_GT(relu_bytes, 3 * conv_bytes);
 }
 
@@ -310,14 +352,11 @@ class SecureReluProperty : public ::testing::TestWithParam<ReluCase> {};
 TEST_P(SecureReluProperty, MatchesPlaintext) {
   const auto param = GetParam();
   pc::TwoPartyContext ctx;
-  pc::Prng prng(40);
   auto x = random_tensor({1, 64}, 41, static_cast<float>(param.scale));
   nn::Relu relu;
   const auto want = relu.forward(x, false);
-  const auto sx = proto::share_tensor(x, prng, ctx.ring());
-  proto::SecureConfig cfg;
-  cfg.ot_mode = param.mode;
-  const auto out = proto::reconstruct_tensor(proto::secure_relu(ctx, sx, cfg), ctx.ring());
+  const auto out = run_single_op(ctx, shaped_op(ir::OpKind::relu, x.shape(), x.shape()), x,
+                                 proto::SecureConfig{param.mode});
   EXPECT_LT(max_abs_diff(out, want), 2e-3f);
 }
 

@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "ir/plan.hpp"
+#include "perf/ir_cost.hpp"
 #include "proto/secure_network.hpp"
 #include "proto/workload.hpp"
 #include "support/test_models.hpp"
@@ -21,6 +22,7 @@ namespace ir = pasnet::ir;
 namespace nn = pasnet::nn;
 namespace off = pasnet::offline;
 namespace pc = pasnet::crypto;
+namespace perf = pasnet::perf;
 namespace proto = pasnet::proto;
 
 using pasnet::testing::proxy_resnet;
@@ -66,7 +68,10 @@ void expect_bit_identical(const nn::Tensor& a, const nn::Tensor& b, const char* 
 
 /// Batched-K vs unit-batch differential on one compiled network: same
 /// inputs through a batch-K workload and a batch-1 workload must yield the
-/// same bits query for query.
+/// same bits query for query.  When the queries fill one chunk, the
+/// chunk's statistics must also add up to the unit runs': every lane pays
+/// its own weight openings, so the chunk's online bytes equal the sum of
+/// the unit runs' less only the merged-OT savings of the shared groups.
 void expect_batch_matches_unit(proto::SecureNetwork& snet, const nn::ModelDescriptor& md,
                                int batch, std::size_t queries, const char* what) {
   const auto inputs = make_inputs(md, queries, 77);
@@ -83,6 +88,19 @@ void expect_batch_matches_unit(proto::SecureNetwork& snet, const nn::ModelDescri
   for (std::size_t q = 0; q < queries; ++q) {
     expect_bit_identical(got.logits[q], ref.logits[q], what, q);
   }
+  if (batched.chunk_stats().size() != 1) return;
+  std::uint64_t unit_online = 0, unit_weight_open = 0;
+  for (const proto::ChunkStats& cs : unit.chunk_stats()) {
+    unit_online += cs.totals.online_bytes();
+    unit_weight_open += cs.totals.weight_open_bytes;
+  }
+  const proto::InferenceStats& chunk = batched.chunk_stats()[0].totals;
+  EXPECT_EQ(chunk.weight_open_bytes, unit_weight_open) << what;
+  const perf::LatencyModel m(perf::HardwareConfig::zcu104(), perf::NetworkConfig::lan_1gbps());
+  const std::uint64_t merged_ot_savings =
+      queries * perf::profile_program(m, snet.program()).wire_bytes -
+      perf::profile_program(m, snet.program(), 64, 32, batch).wire_bytes;
+  EXPECT_EQ(chunk.online_bytes() + merged_ot_savings, unit_online) << what;
 }
 
 }  // namespace
