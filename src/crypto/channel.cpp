@@ -1,7 +1,7 @@
 #include "crypto/channel.hpp"
 
-#include <condition_variable>
 #include <cstring>
+#include <deque>
 #include <mutex>
 #include <thread>
 
@@ -52,21 +52,14 @@ struct Message {
   Clock::time_point due;  // in-flight deadline: enqueue time + round_delay
 };
 
-/// The historical simulated pair: two endpoints over a shared pair of
-/// bounded byte queues plus one shared meter.
+/// The in-process pair: two endpoints over a shared pair of byte queues
+/// plus one shared meter.
 class LocalChannel final : public Channel {
  public:
   struct Shared {
     std::mutex m;
-    // Per-direction queues and wakeups; inbox[p] holds messages addressed
-    // to party p.  not_empty[p] wakes party p's blocked recv, not_full[p]
-    // wakes a sender blocked on party p's full inbox.
+    // Per-direction queues; inbox[p] holds messages addressed to party p.
     std::deque<Message> inbox[2];
-    std::condition_variable not_empty[2];
-    std::condition_variable not_full[2];
-    ChannelMode mode = ChannelMode::lockstep;
-    std::size_t capacity = kDefaultCapacity;
-    std::chrono::milliseconds timeout{kDefaultTimeout};
     std::chrono::microseconds round_delay{0};
     bool closed = false;
     int last_sender = -1;   // for round counting outside brackets
@@ -97,14 +90,8 @@ class LocalChannel final : public Channel {
   }
 
   void close() override {
-    {
-      std::lock_guard<std::mutex> lk(shared_->m);
-      shared_->closed = true;
-    }
-    for (int p = 0; p < 2; ++p) {
-      shared_->not_empty[p].notify_all();
-      shared_->not_full[p].notify_all();
-    }
+    std::lock_guard<std::mutex> lk(shared_->m);
+    shared_->closed = true;
   }
 
   [[nodiscard]] TrafficStats stats_snapshot() const override {
@@ -119,8 +106,6 @@ class LocalChannel final : public Channel {
     shared_->round_counted = false;
   }
 
-  [[nodiscard]] ChannelMode mode() const noexcept override { return shared_->mode; }
-
   void set_tracer(obs::Tracer* tracer) noexcept override {
     std::lock_guard<std::mutex> lk(shared_->m);
     tracer_ = tracer;
@@ -130,23 +115,10 @@ class LocalChannel final : public Channel {
  protected:
   void do_send(std::vector<std::uint8_t>&& data, std::uint64_t wire_bytes) override {
     const int peer = 1 - party_;
-    std::unique_lock<std::mutex> lk(shared_->m);
+    const std::lock_guard<std::mutex> lk(shared_->m);
     obs::Tracer* const tr =
         (shared_->tracer && shared_->tracer->enabled()) ? shared_->tracer : nullptr;
-    if (shared_->mode == ChannelMode::threaded) {
-      const bool back_pressured = shared_->inbox[peer].size() >= shared_->capacity;
-      const std::uint64_t wait_begin = (tr && back_pressured) ? obs::Tracer::now_us() : 0;
-      const bool ok = shared_->not_full[peer].wait_for(lk, shared_->timeout, [&] {
-        return shared_->closed || shared_->inbox[peer].size() < shared_->capacity;
-      });
-      if (tr && back_pressured) {
-        tr->add(obs::Counter::send_wait_us, obs::Tracer::now_us() - wait_begin);
-      }
-      if (shared_->closed) throw ChannelClosed("Channel::send: channel closed");
-      if (!ok) throw ChannelTimeout("Channel::send: peer inbox full past timeout (deadlock?)");
-    } else if (shared_->closed) {
-      throw ChannelClosed("Channel::send: channel closed");
-    }
+    if (shared_->closed) throw ChannelClosed("Channel::send: channel closed");
     // Stamp the in-flight deadline: the message becomes receivable one
     // modeled one-way delay after it is sent.  The sender never sleeps, so
     // all messages of one round share (roughly) one deadline and overlap.
@@ -179,8 +151,6 @@ class LocalChannel final : public Channel {
       if (tr) tr->add(obs::Counter::rounds, 1);
       shared_->last_sender = party_;
     }
-    lk.unlock();
-    shared_->not_empty[peer].notify_one();
   }
 
   [[nodiscard]] std::vector<std::uint8_t> do_recv() override {
@@ -188,32 +158,16 @@ class LocalChannel final : public Channel {
     obs::Tracer* const tr =
         (shared_->tracer && shared_->tracer->enabled()) ? shared_->tracer : nullptr;
     auto& inbox = shared_->inbox[party_];
-    if (shared_->mode == ChannelMode::lockstep) {
-      if (shared_->closed && inbox.empty()) {
-        throw ChannelClosed("Channel::recv_bytes: channel closed");
-      }
-      if (inbox.empty()) {
-        throw std::logic_error("Channel::recv_bytes: no pending message (protocol ordering bug)");
-      }
-    } else {
-      const bool blocked = inbox.empty();
-      const std::uint64_t wait_begin = (tr && blocked) ? obs::Tracer::now_us() : 0;
-      const bool ok = shared_->not_empty[party_].wait_for(
-          lk, shared_->timeout, [&] { return shared_->closed || !inbox.empty(); });
-      if (tr && blocked) tr->add(obs::Counter::recv_wait_us, obs::Tracer::now_us() - wait_begin);
-      if (inbox.empty()) {
-        if (shared_->closed) throw ChannelClosed("Channel::recv_bytes: channel closed");
-        if (!ok) throw ChannelTimeout("Channel::recv_bytes: no message past timeout (deadlock?)");
-      }
+    if (inbox.empty()) {
+      if (shared_->closed) throw ChannelClosed("Channel::recv_bytes: channel closed");
+      throw std::logic_error("Channel::recv_bytes: no pending message (protocol ordering bug)");
     }
     auto msg = std::move(inbox.front());
     inbox.pop_front();
     lk.unlock();
-    shared_->not_full[party_].notify_one();
     // Honour the in-flight deadline off the lock: the receiver cannot
-    // observe a message before its modeled wire delay has elapsed, but
-    // concurrent traffic (the other direction, other worker pairs) keeps
-    // flowing.  The modeled wait is wire time, so it counts as recv wait.
+    // observe a message before its modeled wire delay has elapsed.  The
+    // modeled wait is wire time, so it counts as recv wait.
     if (msg.due != Clock::time_point{}) {
       const auto now = Clock::now();
       if (now < msg.due) {
@@ -237,20 +191,8 @@ class LocalChannel final : public Channel {
 }  // namespace
 
 std::pair<std::unique_ptr<Channel>, std::unique_ptr<Channel>> Channel::make_pair(
-    ChannelMode mode, std::size_t capacity, std::chrono::milliseconds timeout) {
-  ChannelOptions options;
-  options.mode = mode;
-  options.capacity = capacity;
-  options.timeout = timeout;
-  return make_pair(options);
-}
-
-std::pair<std::unique_ptr<Channel>, std::unique_ptr<Channel>> Channel::make_pair(
     const ChannelOptions& options) {
   auto shared = std::make_shared<LocalChannel::Shared>();
-  shared->mode = options.mode;
-  shared->capacity = options.capacity > 0 ? options.capacity : 1;
-  shared->timeout = options.timeout;
   shared->round_delay = options.round_delay;
   auto stats = std::make_shared<TrafficStats>();
   auto c0 = std::unique_ptr<Channel>(new LocalChannel(0, shared, stats));

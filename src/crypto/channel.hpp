@@ -6,31 +6,22 @@
 // meter that records every byte, message, and communication round.  The
 // meter is what lets integration tests cross-check the measured traffic of
 // the real protocol stack against the analytical communication model of
-// src/perf (DESIGN.md E6) — and, since PR 5, what makes bytes/rounds
-// measured over a real TCP connection directly comparable to the
-// simulation.
+// src/perf, and what makes bytes/rounds measured over a real TCP
+// connection directly comparable to the in-process pair's.
 //
 // Two backends:
 //  - the in-process pair (Channel::make_pair): two endpoints over a shared
-//    pair of bounded byte queues.  Modes:
-//     * lockstep: the historical single-threaded mode.  Both parties run on
-//       one thread in protocol order; `recv` on an empty inbox is a protocol
-//       ordering bug and throws immediately.  Fully deterministic (used by
-//       the analytical-model cross-check tests).
-//     * threaded: the concurrent runtime mode.  `recv` blocks until the
-//       peer's message arrives and `send` blocks while the peer's inbox is
-//       at capacity (bounded queue, mutex + condition variable).  Endpoints
-//       may be driven from different threads; a watchdog timeout turns a
-//       deadlocked protocol into a loud ChannelTimeout instead of a hang.
+//    pair of byte queues, driven by one thread in protocol order.  `recv`
+//    on an empty inbox is a protocol ordering bug and throws immediately.
+//    Fully deterministic.
 //  - net::TransportChannel (src/net): the same endpoint API over a real
-//    socket transport, one endpoint per OS process.  Each endpoint's meter
-//    accounts both directions (own sends at send time, the peer's at recv
-//    time), so a remote endpoint's TrafficStats equal the simulated pair's
-//    for the same protocol run.
+//    socket transport, one endpoint per OS process; its recv blocks on the
+//    wire.  Each endpoint's meter accounts both directions (own sends at
+//    send time, the peer's at recv time), so a remote endpoint's
+//    TrafficStats equal the in-process pair's for the same protocol run.
 
 #include <chrono>
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <stdexcept>
 #include <vector>
@@ -61,21 +52,20 @@ struct TrafficStats {
   void reset() noexcept { *this = TrafficStats{}; }
 };
 
-/// Queueing discipline of a channel endpoint (see file comment).  Transport
-/// endpoints report `threaded` — their recv blocks on the wire.
-enum class ChannelMode { lockstep, threaded };
-
-struct ChannelOptions;
-
-/// Thrown when a blocking send/recv outlives the watchdog timeout — the
-/// protocol deadlocked or the peer died.
-class ChannelTimeout : public std::runtime_error {
- public:
-  using std::runtime_error::runtime_error;
+/// Construction knobs for an in-process channel pair.
+struct ChannelOptions {
+  /// Simulated one-way wire latency.  Every message is stamped with an
+  /// in-flight deadline (enqueue time + round_delay) at send time and recv
+  /// waits until that deadline — so messages of one round overlap (a
+  /// symmetric exchange costs one delay) while sequential dependencies pay
+  /// one delay per round, the same unit the `rounds` statistic counts (and
+  /// perf::NetworkConfig's base_latency_s models).  Zero means no simulated
+  /// delay.  Waits happen off the channel lock, so concurrent worker pairs
+  /// overlap their delays — the effect batched inference exists to exploit.
+  std::chrono::microseconds round_delay{0};
 };
 
-/// Thrown by blocked/later operations after close() — the "peer hung up"
-/// signal, used to unwind a party thread whose peer failed.
+/// Thrown by operations after close() — the "peer hung up" signal.
 class ChannelClosed : public std::runtime_error {
  public:
   using std::runtime_error::runtime_error;
@@ -86,24 +76,18 @@ class ChannelClosed : public std::runtime_error {
 /// own round bracketing, close semantics, and the stats meter.
 class Channel {
  public:
-  /// Default bounded-queue depth and watchdog timeout for an in-process
-  /// channel pair — the single canonical pair (ChannelOptions defaults to
-  /// them too; net::TransportOptions carries the socket analogs).
-  static constexpr std::size_t kDefaultCapacity = 1024;
-  static constexpr std::chrono::milliseconds kDefaultTimeout{30000};
-
   virtual ~Channel() = default;
   Channel(const Channel&) = delete;
   Channel& operator=(const Channel&) = delete;
 
-  /// Sends a raw byte message to the peer.  Blocking backends may block
-  /// (full peer inbox / socket back-pressure); the lockstep in-process mode
-  /// never blocks.
+  /// Sends a raw byte message to the peer.  A transport endpoint may block
+  /// on socket back-pressure; the in-process pair never blocks.
   void send_bytes(const std::vector<std::uint8_t>& data);
-  /// Receives the oldest pending byte message.  The in-process lockstep
-  /// mode throws std::logic_error if the inbox is empty (protocol ordering
-  /// bug); blocking backends wait for the message (honouring any modeled
-  /// in-flight deadline — see ChannelOptions::round_delay).
+  /// Receives the oldest pending byte message.  The in-process pair throws
+  /// std::logic_error if the inbox is empty (protocol ordering bug) and
+  /// otherwise honours the message's modeled in-flight deadline (see
+  /// ChannelOptions::round_delay); a transport endpoint waits for the
+  /// message on the wire.
   [[nodiscard]] std::vector<std::uint8_t> recv_bytes();
 
   /// Convenience: send/recv a vector of ring elements, 8 bytes each in
@@ -119,14 +103,14 @@ class Channel {
   /// Brackets one symmetric communication round: every message either
   /// endpoint enqueues between begin_round and end_round counts as a single
   /// round (both directions are concurrently in flight).  Driven by the
-  /// coordinating thread (TwoPartyContext::exchange), never by a party
-  /// closure.  After end_round the next message starts a fresh round
-  /// regardless of direction.
+  /// context (TwoPartyContext::exchange).  After end_round the next message
+  /// starts a fresh round regardless of direction.
   virtual void begin_round() = 0;
   virtual void end_round() = 0;
 
-  /// Marks the endpoint closed: blocked senders/receivers wake and throw
-  /// ChannelClosed, as do later blocking operations that would wait.
+  /// Marks the endpoint closed: later sends, and receives with nothing
+  /// left to deliver, throw ChannelClosed.  A transport endpoint also
+  /// wakes a receiver blocked on the wire.
   virtual void close() = 0;
 
   /// Traffic stats of the endpoint (shared by both endpoints of an
@@ -137,8 +121,6 @@ class Channel {
   /// Locked copy of the stats, safe to take concurrently with transfers.
   [[nodiscard]] virtual TrafficStats stats_snapshot() const = 0;
   virtual void reset_stats() noexcept = 0;
-
-  [[nodiscard]] virtual ChannelMode mode() const noexcept = 0;
 
   /// Attaches a tracer (nullptr detaches).  The endpoint mirrors every
   /// meter update into the tracer's counters — rounds, per-direction wire
@@ -153,10 +135,7 @@ class Channel {
   /// Creates a connected in-process pair of endpoints: first element is
   /// party 0's.
   static std::pair<std::unique_ptr<Channel>, std::unique_ptr<Channel>> make_pair(
-      ChannelMode mode = ChannelMode::lockstep, std::size_t capacity = kDefaultCapacity,
-      std::chrono::milliseconds timeout = kDefaultTimeout);
-  static std::pair<std::unique_ptr<Channel>, std::unique_ptr<Channel>> make_pair(
-      const ChannelOptions& options);
+      const ChannelOptions& options = {});
 
  protected:
   Channel() = default;
@@ -174,23 +153,6 @@ class Channel {
   /// Attached tracer, or nullptr.  Backends test it at their accounting
   /// sites; when attached and enabled they mirror the meter update.
   obs::Tracer* tracer_ = nullptr;
-};
-
-/// Construction knobs for an in-process channel pair.
-struct ChannelOptions {
-  ChannelMode mode = ChannelMode::lockstep;
-  std::size_t capacity = Channel::kDefaultCapacity;
-  std::chrono::milliseconds timeout = Channel::kDefaultTimeout;
-  /// Simulated one-way wire latency.  Every message is stamped with an
-  /// in-flight deadline (enqueue time + round_delay) at send time and recv
-  /// waits until that deadline — so messages of one round overlap (a
-  /// symmetric exchange costs one delay in both lockstep and threaded
-  /// modes) while sequential dependencies pay one delay per round, the
-  /// same unit the `rounds` statistic counts (and perf::NetworkConfig's
-  /// base_latency_s models).  Zero means no simulated delay.  Waits happen
-  /// off the channel lock, so concurrent worker pairs overlap their
-  /// delays — the effect batched inference exists to exploit.
-  std::chrono::microseconds round_delay{0};
 };
 
 }  // namespace pasnet::crypto

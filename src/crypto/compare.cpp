@@ -103,7 +103,7 @@ void BitOpenBuffer::flush() {
                 [&] { from1 = ctx_.chan(0).recv_bytes(); },
                 [&] { from0 = ctx_.chan(1).recv_bytes(); });
   // Reconstruct from the local share and the peer's received packed bits.
-  // In the in-process modes both closures ran, so either pairing works and
+  // In an in-process context both closures ran, so either pairing works and
   // we keep the historical (b0, from1) one; a remote context only has its
   // own half live.
   const bool local_is_1 = ctx_.local_party() == 1;

@@ -51,9 +51,7 @@ std::vector<std::uint64_t> unpack_u64s(const std::vector<std::uint8_t>& buf) {
 
 // The OT dance is inherently sequential (the sender's message depends on
 // the receiver's blinding), so both phases run on the caller's thread in
-// protocol order.  That schedule is valid under both channel modes: in
-// threaded mode each recv finds its message already enqueued and never
-// blocks, so OT composes with the concurrent runtime without changes.
+// protocol order: each recv finds its message already enqueued.
 //
 // In a remote (two-process) context only the local role's sends/recvs and
 // compute run — the gates below.  Role SECRETS (the receiver's blinding

@@ -7,7 +7,7 @@
 //
 //  * `dh_masked`  — a Bellare–Micali-style instantiation over Z_p with the
 //    Mersenne prime p = 2^61 - 1, mirroring the paper's g^r mod m masking.
-//    Functionally correct; toy-strength parameters (DESIGN.md §3.4).
+//    Functionally correct; toy-strength parameters.
 //  * `correlated` — an ideal-functionality fast path that produces the same
 //    transcript sizes (for traffic accounting) without the modular
 //    exponentiation; used when simulating large tensors.  Refused in a

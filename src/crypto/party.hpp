@@ -1,25 +1,18 @@
 #pragma once
-// Two-party execution context, party-thread runtime, and the online
-// multiplicative protocols.
+// Two-party execution context and the online multiplicative protocols.
 //
-// The simulation runs both semi-honest servers inside one process
-// (DESIGN.md §5).  A TwoPartyContext bundles the ring, the duplex channel
-// pair, per-party local randomness, and the trusted dealer.  The protocol
+// A TwoPartyContext bundles the ring, the duplex channel endpoint(s),
+// per-party local randomness, and the trusted dealer.  The protocol
 // functions below implement the paper's §II-B equations verbatim,
 // exchanging masked values over the channels so that traffic statistics
 // match a real deployment message-for-message.
 //
-// Execution modes:
-//  - lockstep (default): both parties run on the caller's thread in
-//    protocol order over throw-on-empty channels.  Bit-for-bit
-//    deterministic, used by the analytical-model cross-check tests.
-//  - threaded: the context owns a TwoPartyRuntime with one dedicated thread
-//    per party and blocking bounded channels; symmetric exchanges (both
-//    parties send, then both receive) fan out so party 0 and party 1
-//    genuinely overlap.  Multi-phase asymmetric flows (e.g. the OT dance,
-//    where the sender's message depends on the receiver's) stay on the
-//    caller's thread: blocking channels make the lockstep schedule a valid
-//    schedule of the same protocol.
+// In-process context: both semi-honest servers run on the caller's thread
+// in protocol order over an in-process channel pair whose recv throws on
+// an empty inbox.  Bit-for-bit deterministic.  Concurrency comes from
+// outside the context: a Workload spreads chunks over W worker threads,
+// each with its own context, and a remote context (below) runs each party
+// in its own process over a real transport.
 //
 // Open staging: every joint opening is staged on the context's
 // OpenBuffer and waits there until flush() opens everything pending in ONE
@@ -31,17 +24,17 @@
 // Remote (two-process) deployment: a context constructed with a local
 // party id and a single channel endpoint (src/net's TransportChannel over
 // TCP) drives ONE party; the peer party runs the same program in another
-// process.  exec/exchange run only the local closure, joint openings
+// process.  exchange runs only the local party's half, joint openings
 // combine the local share with the received peer share, and the per-party
 // PRNG and dealer streams keep advancing identically in both processes
 // (they are seeded from the shared context seed), which is what keeps a
 // two-process run's transcript and logits bit-identical to the in-process
-// modes.  Genuinely secret values — the DH-OT receiver's blinding
+// context.  Genuinely secret values — the DH-OT receiver's blinding
 // exponents and sender ephemerals, the OT-extension base secrets, and the
 // OT-extension triple-generation half streams — do NOT come from those
 // shared streams: they are drawn from role_prng(), which in a remote
-// process is a private entropy-seeded stream the peer never sees (in the
-// simulation modes it aliases the shared ot_prng streams, keeping the
+// process is a private entropy-seeded stream the peer never sees (in an
+// in-process context it aliases the shared ot_prng streams, keeping the
 // historical transcripts).  Peer-share slots of local `Shared` values are
 // garbage in a remote process; protocol code never mixes shares across
 // parties outside channel exchanges, so they are never read.
@@ -76,9 +69,6 @@ class TwoPartyContext;
 class OtBuffer;        // crypto/ot.hpp — staged (1,4)-OT batches
 class BitOpenBuffer;   // crypto/compare.hpp — staged XOR-share openings
 
-/// How a TwoPartyContext schedules the two parties (see file comment).
-enum class ExecMode { lockstep, threaded };
-
 /// OT instantiation selector (crypto/ot.hpp implements both):
 ///  * dh_masked  — Bellare–Micali-style OT over Z_{2^61-1}: a real
 ///    (toy-strength) cryptographic instantiation that works across two
@@ -107,30 +97,8 @@ struct RemoteContextOptions {
   bool allow_ideal_ot = false;
 };
 
-/// A pair of long-lived party executor threads.  `run` dispatches one
-/// closure to each party thread and waits for both to finish; protocol
-/// steps queue up on the same two threads for the lifetime of the runtime,
-/// mirroring a deployment where each server is one process.
-class TwoPartyRuntime {
- public:
-  TwoPartyRuntime();
-  ~TwoPartyRuntime();
-  TwoPartyRuntime(const TwoPartyRuntime&) = delete;
-  TwoPartyRuntime& operator=(const TwoPartyRuntime&) = delete;
-
-  /// Runs f0 on the party-0 thread and f1 on the party-1 thread, then waits
-  /// for both.  If a party throws, the exception is rethrown here (party
-  /// 0's first); the other party still runs to completion.
-  void run(const std::function<void()>& f0, const std::function<void()>& f1);
-
- private:
-  struct Worker;
-  std::unique_ptr<Worker> workers_[2];
-};
-
 /// Per-context staging area for joint openings (the round scheduler's
-/// "per-round open buffer").  Driven only from the coordinating thread;
-/// the underlying exchange fans out to the party threads as usual.
+/// "per-round open buffer").  Driven from the context's thread.
 class OpenBuffer {
  public:
   explicit OpenBuffer(TwoPartyContext& ctx) : ctx_(ctx) {}
@@ -168,7 +136,6 @@ class TwoPartyContext {
   /// ChannelOptions); batched inference inherits it per query, so worker
   /// pairs overlap their modeled network waits.
   explicit TwoPartyContext(RingConfig rc = RingConfig{}, std::uint64_t seed = 42,
-                           ExecMode mode = ExecMode::lockstep,
                            std::chrono::microseconds round_delay = std::chrono::microseconds{0});
   /// Remote (two-process) context: drives `local_party` only, over the
   /// given channel endpoint (the peer party runs in another process on the
@@ -235,7 +202,7 @@ class TwoPartyContext {
   /// Installs per-party replacement streams for prng() (non-owning; pass
   /// nullptrs to restore the context's own streams).  Not thread-safe
   /// against in-flight protocol steps — the batched executor swaps lanes
-  /// between staging calls on the coordinating thread.
+  /// between staging calls on the context's thread.
   void set_prng_override(Prng* p0, Prng* p1) noexcept {
     prng_override0_ = p0;
     prng_override1_ = p1;
@@ -256,8 +223,9 @@ class TwoPartyContext {
   /// The stream ROLE-SECRET values are drawn from: DH-OT blinding
   /// exponents / sender ephemerals, OT-extension base secrets, and the
   /// OT-extension triple-generation half-stream seeds — values whose
-  /// secrecy against the *peer* is what the protocol's security rests on.  In the simulation modes (both parties in one process) this
-  /// aliases ot_prng(party), so transcripts are unchanged there; in a
+  /// secrecy against the *peer* is what the protocol's security rests on.
+  /// In an in-process context (both parties in one process) this aliases
+  /// ot_prng(party), so transcripts are unchanged there; in a
   /// remote process it is a private entropy-seeded stream, and asking for
   /// the PEER's role stream throws — the peer's secrets do not exist in
   /// this process.
@@ -270,16 +238,15 @@ class TwoPartyContext {
     return role_prng_;
   }
   /// Whether the ideal-functionality OT simulation may run on this
-  /// context: always in the in-process simulation modes, only with the
+  /// context: always in an in-process context, only with the
   /// explicit RemoteContextOptions::allow_ideal_ot hatch in a remote one.
   [[nodiscard]] bool ideal_ot_allowed() const noexcept {
     return local_party_ < 0 || allow_ideal_ot_;
   }
-  [[nodiscard]] ExecMode mode() const noexcept { return mode_; }
   [[nodiscard]] std::chrono::microseconds round_delay() const noexcept { return round_delay_; }
 
-  /// The party this context drives: -1 when both run in-process (the
-  /// simulation modes), 0 or 1 for a remote two-process context.
+  /// The party this context drives: -1 when both run in-process, 0 or 1
+  /// for a remote two-process context.
   [[nodiscard]] int local_party() const noexcept { return local_party_; }
   /// Whether this context executes `party`'s side of the protocol.  The
   /// protocol implementations gate channel operations and role-specific
@@ -302,19 +269,11 @@ class TwoPartyContext {
   /// one shared exchange per level.
   [[nodiscard]] BitOpenBuffer& bit_opens() noexcept { return *bit_opens_; }
 
-  /// Runs the per-party closures — on the party threads in threaded mode,
-  /// inline (f0 then f1) in lockstep mode.  Callers are responsible for an
-  /// ordering that cannot deadlock under either schedule.  In threaded
-  /// mode a failing party closes the channel pair so its blocked peer
-  /// unwinds immediately (ChannelClosed); the first failure is rethrown
-  /// and the context's channels stay closed.
-  void exec(const std::function<void()>& f0, const std::function<void()>& f1);
-
   /// One symmetric communication round: both parties send, then both
-  /// receive.  Lockstep runs send0, send1, recv0, recv1 on the caller's
-  /// thread; threaded runs (send0; recv0) on party 0's thread concurrently
-  /// with (send1; recv1) on party 1's.  The whole exchange is bracketed as
-  /// ONE round in the traffic stats (both directions in flight together).
+  /// receive.  In process this runs send0, send1, recv0, recv1 on the
+  /// caller's thread; a remote context runs only its own party's send and
+  /// recv.  The whole exchange is bracketed as ONE round in the traffic
+  /// stats (both directions in flight together).
   void exchange(const std::function<void()>& send0, const std::function<void()>& send1,
                 const std::function<void()>& recv0, const std::function<void()>& recv1);
 
@@ -338,7 +297,7 @@ class TwoPartyContext {
   [[nodiscard]] obs::Tracer* tracer() const noexcept { return tracer_; }
 
  private:
-  /// The endpoint this context meters: party 0's for the in-process modes
+  /// The endpoint this context meters: party 0's for an in-process context
   /// (the pair shares one meter), the borrowed endpoint for a remote
   /// context.
   [[nodiscard]] Channel& local_chan() const noexcept {
@@ -346,7 +305,6 @@ class TwoPartyContext {
   }
 
   RingConfig rc_;
-  ExecMode mode_;
   int local_party_ = -1;
   Channel* remote_chan_ = nullptr;  // borrowed (remote contexts only)
   std::chrono::microseconds round_delay_;
@@ -366,8 +324,7 @@ class TwoPartyContext {
   OpenBuffer opens_;
   std::unique_ptr<OtBuffer> ots_;
   std::unique_ptr<BitOpenBuffer> bit_opens_;
-  std::unique_ptr<TwoPartyRuntime> runtime_;  // threaded mode only
-  obs::Tracer* tracer_ = nullptr;             // non-owning; see set_tracer
+  obs::Tracer* tracer_ = nullptr;  // non-owning; see set_tracer
 };
 
 /// Jointly reconstruct a shared vector: both parties exchange their shares

@@ -160,7 +160,7 @@ BatchExecResult execute_batch(const SecureProgram& p, const CompiledParams& para
     pending[idx] = 0;
     // Output elements produced by the op's kernelized share arithmetic — a
     // pure function of (program, lane count), so the counter is identical
-    // across lockstep/threaded/remote and sums exactly across chunks.
+    // across in-process and remote runs and sums exactly across chunks.
     if (tracer != nullptr) {
       tracer->add(obs::Counter::kernel_elems, acts[lane][idx].size());
     }

@@ -25,8 +25,7 @@ class SocketError : public NetError {
   using NetError::NetError;
 };
 
-/// A blocking socket operation outlived its configured timeout — the
-/// transport analog of crypto::ChannelTimeout.
+/// A blocking socket operation outlived its configured timeout.
 class SocketTimeout : public NetError {
  public:
   using NetError::NetError;

@@ -6,8 +6,7 @@
 //
 // All blocking operations honour an explicit timeout and raise
 // net::SocketTimeout on expiry — a wedged peer becomes a typed error,
-// never a silent hang (the same contract crypto::ChannelTimeout gives the
-// in-process pair).
+// never a silent hang.
 
 #include <chrono>
 #include <cstdint>

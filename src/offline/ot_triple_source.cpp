@@ -338,7 +338,7 @@ void shape_bundle(const PreprocessingPlan& plan, QueryBundle& b) {
 /// (a_p, b_p) plus the base z_p = f(a_p, b_p) + x_p — the cross terms o_p
 /// are added by the direction runs.  x_p is retained in `mat` for the
 /// correction pass.  The caller picks half_seed: canonical
-/// half_stream_seed(dealer_seed, p) in the simulation modes (dealer
+/// half_stream_seed(dealer_seed, p) in an in-process context (dealer
 /// bit-identity), a role_prng draw in a remote process (peer-private).
 void fill_halves(const PreprocessingPlan& plan, int p, std::uint64_t half_seed,
                  QueryBundle& b, PartyLaneMat& mat) {
@@ -651,8 +651,8 @@ void generate_bundles_ot_ext(const PreprocessingPlan& plan, crypto::TwoPartyCont
   const std::size_t lanes = dealer_seeds.size();
   if (lanes == 0) return;
   for (std::size_t l = 0; l < lanes; ++l) shape_bundle(plan, bundles[l]);
-  // Half-stream seeding is the trust boundary of this generator.  In the
-  // in-process simulation modes both halves come from the canonical
+  // Half-stream seeding is the trust boundary of this generator.  In an
+  // in-process context both halves come from the canonical
   // half_stream_seed(dealer_seed, p) so the bundles stay bit-identical to
   // TripleDealer's — the verification contract the differential tests pin.
   // In a remote (two-process) context that canonical seed is PUBLIC (both

@@ -60,7 +60,7 @@ void write_bundle(std::ostream& os, const QueryBundle& bundle);
 [[nodiscard]] QueryBundle read_bundle(std::istream& is);
 
 /// A copy of `bundle` holding only `party`'s share halves (the peer's are
-/// zeroed), or the full bundle for party 2 ("both", the in-process modes).
+/// zeroed), or the full bundle for party 2 ("both", an in-process context).
 /// Online recombination only ever touches a party's own halves, so a
 /// party-sliced bundle serves a remote process bit-identically while the
 /// dealer never ships one party's randomness to the other.

@@ -83,8 +83,9 @@ class SecureNetwork {
   // --- Offline preprocessing (paper §II-B offline/online split) -----------
 
   /// Canonical seed of the fresh per-query context that serves the query at
-  /// stream position q (infer_batch position q, or the q-th store-backed
-  /// infer()).  Public so the offline generator and the serving path agree.
+  /// stream position q (the q-th query a Workload serves, dealer- or
+  /// store-backed).  Public so the offline generator and the serving path
+  /// agree.
   [[nodiscard]] static std::uint64_t query_context_seed(std::size_t q) noexcept;
   /// Seed of the dealer inside that context — the seed the offline
   /// generator must use for query q's bundle to replay the dealer path.
@@ -96,10 +97,6 @@ class SecureNetwork {
   [[nodiscard]] std::chrono::microseconds round_delay() const noexcept {
     return ctx_.round_delay();
   }
-  /// Execution mode of the compile context — fresh per-chunk serving
-  /// contexts inherit it (results are mode-independent, a tested
-  /// invariant).
-  [[nodiscard]] crypto::ExecMode exec_mode() const noexcept { return ctx_.mode(); }
   [[nodiscard]] const SecureConfig& config() const noexcept { return cfg_; }
   /// Bytes of the weight-shaped E openings — a model constant that
   /// amortizes offline for a static model (see InferenceStats).

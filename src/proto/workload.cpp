@@ -86,7 +86,7 @@ WorkloadResult Workload::run(const std::vector<nn::Tensor>& inputs) {
     // output to the independent single-query run of the same position.
     crypto::TwoPartyContext cctx(net_.ring(),
                                  SecureNetwork::query_context_seed(stream_position(lo)),
-                                 net_.exec_mode(), net_.round_delay());
+                                 net_.round_delay());
     // Per-chunk tracer: the chunk's counters become its ChunkStats::trace
     // witness, then merge into the workload tracer (concurrent chunk
     // workers each own their tracer, so there is no cross-chunk tearing).

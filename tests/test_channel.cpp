@@ -26,6 +26,19 @@ TEST(Channel, RecvWithoutSendThrows) {
   (void)c1;
 }
 
+TEST(Channel, EmptyRecvThrowsLogicErrorUntilClosedThenChannelClosed) {
+  // Both parties run on one thread in protocol order, so an empty inbox is
+  // an ordering bug, never a wait.  After close() messages already in
+  // flight still deliver; then recv and send raise the hang-up signal.
+  auto [c0, c1] = pc::Channel::make_pair();
+  EXPECT_THROW((void)c0->recv_bytes(), std::logic_error);
+  c1->send_bytes({7});
+  c1->close();
+  EXPECT_EQ(c0->recv_bytes(), std::vector<std::uint8_t>{7});
+  EXPECT_THROW((void)c0->recv_bytes(), pc::ChannelClosed);
+  EXPECT_THROW(c0->send_bytes({8}), pc::ChannelClosed);
+}
+
 TEST(Channel, FifoOrderPreserved) {
   auto [c0, c1] = pc::Channel::make_pair();
   c0->send_bytes({1});

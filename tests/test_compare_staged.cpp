@@ -3,8 +3,8 @@
 // ReLU/maxpool instance in lockstep through shared OT, AND-tree and open
 // rounds — must reproduce the secret shares of per_op_groups(program),
 // the eager grouping that flushes after every op, request-for-request, op
-// for op, on every support/test_models.hpp model, in lockstep and
-// threaded modes, dealer-backed and TripleStore-backed.
+// for op, on every support/test_models.hpp model, dealer-backed and
+// TripleStore-backed (the latter over two concurrent worker pairs).
 // Plus seeded randomized property tests for millionaire_gt / drelu over
 // adversarial fixed-point edge values.
 
@@ -60,15 +60,14 @@ struct RunResult {
   nn::Tensor logits;
   Capture ops;
   std::uint64_t rounds = 0;
-  std::uint64_t bytes = 0;
 };
 
 /// One query through ir::execute, capturing every op's output shares.
 /// Context / parameter seeds are fixed so two runs of differently grouped
 /// programs differ only in their flush points.
-RunResult run_program(const ir::SecureProgram& p, pc::ExecMode mode, const nn::Tensor& x,
+RunResult run_program(const ir::SecureProgram& p, const nn::Tensor& x,
                       pc::OtMode ot = pc::OtMode::correlated) {
-  pc::TwoPartyContext ctx(pc::RingConfig{}, 42, mode);
+  pc::TwoPartyContext ctx;
   pc::Prng wprng(7);
   const ir::CompiledParams params = ir::share_parameters(p, wprng, ctx.ring());
   ir::ExecOptions opts;
@@ -80,7 +79,6 @@ RunResult run_program(const ir::SecureProgram& p, pc::ExecMode mode, const nn::T
   };
   r.logits = ir::execute(p, params, ctx, x, opts).logits;
   r.rounds = ctx.stats().rounds;
-  r.bytes = ctx.stats().total_bytes();
   return r;
 }
 
@@ -102,7 +100,7 @@ void expect_bit_identical(const nn::Tensor& a, const nn::Tensor& b, const char* 
 }  // namespace
 
 // ---------------------------------------------------------------------------
-// Scheduled vs eager (per_op_groups): per-op shares, all models, both modes
+// Scheduled vs eager (per_op_groups): per-op shares, all models
 // ---------------------------------------------------------------------------
 
 TEST(CompareStaged, PerOpSharesBitIdenticalToEagerOnAllModels) {
@@ -118,33 +116,11 @@ TEST(CompareStaged, PerOpSharesBitIdenticalToEagerOnAllModels) {
     const auto x =
         nn::Tensor::randn({1, t.md.input_ch, t.md.input_h, t.md.input_w}, dprng, 0.5f);
 
-    const RunResult grouped = run_program(p, pc::ExecMode::lockstep, x);
-    const RunResult per_op = run_program(per_op_groups(p), pc::ExecMode::lockstep, x);
+    const RunResult grouped = run_program(p, x);
+    const RunResult per_op = run_program(per_op_groups(p), x);
     expect_bit_identical(grouped.logits, per_op.logits, t.md.name.c_str());
     expect_same_shares(grouped, per_op, t.md.name.c_str());
     EXPECT_LE(grouped.rounds, per_op.rounds) << t.md.name;
-  }
-}
-
-TEST(CompareStaged, ThreadedMatchesLockstepBothSchedules) {
-  // Both groupings — the scheduled program and its per-op-groups twin.
-  for (auto md : {tiny_cnn(nn::OpKind::relu, nn::OpKind::maxpool),
-                  proxy_resnet(nn::ActKind::relu, nn::PoolKind::maxpool)}) {
-    auto t = train(std::move(md), 600);
-    ir::SecureProgram p = ir::lower(t.md, *t.graph, t.node_of_layer);
-    ir::run_standard_passes(p);
-    pc::Prng dprng(601);
-    const auto x =
-        nn::Tensor::randn({1, t.md.input_ch, t.md.input_h, t.md.input_w}, dprng, 0.5f);
-    for (const ir::SecureProgram& program : {p, per_op_groups(p)}) {
-      const RunResult lock = run_program(program, pc::ExecMode::lockstep, x);
-      const RunResult thr = run_program(program, pc::ExecMode::threaded, x);
-      expect_bit_identical(lock.logits, thr.logits, t.md.name.c_str());
-      expect_same_shares(lock, thr, t.md.name.c_str());
-      // Exchange-bracketed round counting is deterministic across modes.
-      EXPECT_EQ(lock.rounds, thr.rounds) << t.md.name;
-      EXPECT_EQ(lock.bytes, thr.bytes) << t.md.name;
-    }
   }
 }
 
@@ -158,9 +134,8 @@ TEST(CompareStaged, DhMaskedOtLogitsBitIdenticalToEager) {
     pc::Prng dprng(621);
     const auto x =
         nn::Tensor::randn({1, t.md.input_ch, t.md.input_h, t.md.input_w}, dprng, 0.5f);
-    const RunResult grouped = run_program(p, pc::ExecMode::lockstep, x, pc::OtMode::dh_masked);
-    const RunResult per_op =
-        run_program(per_op_groups(p), pc::ExecMode::lockstep, x, pc::OtMode::dh_masked);
+    const RunResult grouped = run_program(p, x, pc::OtMode::dh_masked);
+    const RunResult per_op = run_program(per_op_groups(p), x, pc::OtMode::dh_masked);
     expect_bit_identical(grouped.logits, per_op.logits, t.md.name.c_str());
   }
 }

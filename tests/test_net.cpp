@@ -344,7 +344,7 @@ TEST(Handshake, CallerSuppliedTraceIdAndOffsetChainThrough) {
 TEST(TransportChannel, MetersMatchTheSimulatedPair) {
   // Replay the same message pattern over an in-process pair and over TCP;
   // the meters must agree byte for byte and round for round.
-  auto [l0, l1] = pc::Channel::make_pair(pc::ChannelMode::lockstep);
+  auto [l0, l1] = pc::Channel::make_pair();
   auto [t0r, t1r] = transport_pair();
   net::TransportChannel t0(std::move(t0r), 0);
   net::TransportChannel t1(std::move(t1r), 1);

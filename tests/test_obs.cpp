@@ -253,28 +253,32 @@ TEST(ObsTracer, SecureInferenceSpansNestPerThread) {
   }
 }
 
-TEST(ObsTracer, CounterTotalsDeterministicAcrossExecModes) {
+TEST(ObsTracer, CounterTotalsDeterministicAcrossWorkerPairs) {
+  // One worker pair runs both chunks in turn; two run them concurrently,
+  // each on its own context and chunk tracer.  The merged counters must
+  // not depend on the schedule.
   ObsFixture f;
-  const auto run_mode = [&](pc::ExecMode mode) {
-    pc::TwoPartyContext ctx(pc::RingConfig{}, 42, mode);
+  const auto run_workers = [&](int worker_pairs) {
+    pc::TwoPartyContext ctx;
     proto::SecureNetwork snet(f.md, *f.graph, f.node_of_layer, ctx);
     proto::WorkloadOptions wopts;
     wopts.batch = 2;
+    wopts.worker_pairs = worker_pairs;
     proto::Workload wl(snet, wopts);
     obs::Tracer tracer;
     wl.set_tracer(&tracer);
     (void)wl.run(f.queries(3));
     return tracer.snapshot();
   };
-  const obs::CounterSnapshot lockstep = normalized(run_mode(pc::ExecMode::lockstep));
-  const obs::CounterSnapshot threaded = normalized(run_mode(pc::ExecMode::threaded));
-  ASSERT_GT(lockstep[obs::Counter::rounds], 0u);
-  ASSERT_GT(lockstep[obs::Counter::ot_batches], 0u);
-  ASSERT_GT(lockstep[obs::Counter::and_levels], 0u);
-  ASSERT_GT(lockstep[obs::Counter::openings], 0u);
-  ASSERT_GT(lockstep[obs::Counter::triple_claims], 0u);
+  const obs::CounterSnapshot serial = normalized(run_workers(1));
+  const obs::CounterSnapshot concurrent = normalized(run_workers(2));
+  ASSERT_GT(serial[obs::Counter::rounds], 0u);
+  ASSERT_GT(serial[obs::Counter::ot_batches], 0u);
+  ASSERT_GT(serial[obs::Counter::and_levels], 0u);
+  ASSERT_GT(serial[obs::Counter::openings], 0u);
+  ASSERT_GT(serial[obs::Counter::triple_claims], 0u);
   for (int i = 0; i < obs::kCounterCount; ++i) {
-    EXPECT_EQ(lockstep.values[i], threaded.values[i])
+    EXPECT_EQ(serial.values[i], concurrent.values[i])
         << obs::counter_name(static_cast<obs::Counter>(i));
   }
 }

@@ -125,16 +125,16 @@ TEST(TripleStore, StoreBackedBatchMatchesDealerPathAcrossWorkerCounts) {
 }
 
 TEST(TripleStore, StoreBackedServingOnThreadedMasterContextMatchesDealerPath) {
-  // The master context's mode must not affect store-backed serving: each
-  // query runs on its own canonically seeded lockstep context either way,
-  // so a threaded serving deployment reconstructs the same logits.
+  // The master context only compiles the network: each query runs on its
+  // own canonically seeded context, so a store-backed deployment spread
+  // over four worker pairs reconstructs the dealer path's logits.
   SecureFixture f;
-  pc::TwoPartyContext lockstep_ctx;
-  proto::SecureNetwork baseline(f.md, *f.graph, f.node_of_layer, lockstep_ctx);
+  pc::TwoPartyContext dealer_ctx;
+  proto::SecureNetwork baseline(f.md, *f.graph, f.node_of_layer, dealer_ctx);
   const auto dealer_logits = proto::Workload(baseline).run(f.queries).logits;
 
-  pc::TwoPartyContext threaded_ctx(pc::RingConfig{}, 42, pc::ExecMode::threaded);
-  proto::SecureNetwork snet(f.md, *f.graph, f.node_of_layer, threaded_ctx);
+  pc::TwoPartyContext master_ctx;
+  proto::SecureNetwork snet(f.md, *f.graph, f.node_of_layer, master_ctx);
   proto::Workload wl(snet, {proto::WorkloadKind::logits, /*batch=*/1, /*worker_pairs=*/4});
   off::TripleStore store = wl.preprocess(f.queries.size(), 2);
   wl.use_store(&store, off::ExhaustionPolicy::Throw);

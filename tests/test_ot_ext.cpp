@@ -1,26 +1,31 @@
 // IKNP OT extension and the 2PC triple generator built on it: transpose
 // and frame-level properties, COT correlation after derandomization,
-// malformed-frame rejection, dealer-equality of SIMULATION-mode bundles
+// malformed-frame rejection, dealer-equality of in-process bundles
 // (the bit-identity verification contract), the analytic traffic witness,
 // and the remote trust-gap fixes (role-private half streams and OT
 // secrets, ideal-OT refusal).
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdint>
-#include <thread>
+#include <future>
+#include <memory>
 #include <vector>
 
 #include "crypto/channel.hpp"
 #include "crypto/ot_ext.hpp"
 #include "crypto/party.hpp"
 #include "crypto/prng.hpp"
+#include "net/party_session.hpp"
+#include "net/socket.hpp"
 #include "obs/tracer.hpp"
 #include "offline/ot_triple_source.hpp"
 #include "offline/preprocessing_plan.hpp"
 #include "offline/triple_store.hpp"
 
 namespace pc = pasnet::crypto;
+namespace net = pasnet::net;
 namespace otx = pasnet::crypto::otx;
 namespace off = pasnet::offline;
 namespace obs = pasnet::obs;
@@ -350,25 +355,28 @@ TEST(OtExtTriples, MeasuredTrafficMatchesAnalyticCost) {
 
 namespace {
 
-/// One joint generation across two remote contexts over a threaded
-/// loopback pair — the in-test stand-in for two OS processes.
+/// One joint generation across two remote contexts, each on its own
+/// thread over a real loopback TCP connection — the in-test stand-in for
+/// two OS processes.
 std::pair<off::QueryBundle, off::QueryBundle> remote_generate(
     const off::PreprocessingPlan& plan, std::uint64_t seed) {
-  auto chans = pc::Channel::make_pair(pc::ChannelMode::threaded);
-  pc::Channel& c0 = *chans.first;
-  pc::Channel& c1 = *chans.second;
-  off::QueryBundle b0, b1;
-  std::thread t0([&] {
-    pc::TwoPartyContext ctx(plan.ring, 42, 0, c0);
-    off::generate_bundles_ot_ext(plan, ctx, {seed}, &b0);
-  });
-  std::thread t1([&] {
-    pc::TwoPartyContext ctx(plan.ring, 42, 1, c1);
-    off::generate_bundles_ot_ext(plan, ctx, {seed}, &b1);
-  });
-  t0.join();
-  t1.join();
-  return {std::move(b0), std::move(b1)};
+  net::TransportOptions topts;
+  topts.connect_timeout = std::chrono::milliseconds(5000);
+  topts.io_timeout = std::chrono::milliseconds(20000);
+  net::Listener listener(0);
+  const std::uint16_t port = listener.port();
+  const auto run_side = [&](int party) {
+    std::unique_ptr<net::TransportChannel> chan =
+        party == 1 ? net::serve_party_channel(listener, 1, topts)
+                   : net::dial_party_channel("127.0.0.1", port, 0, topts);
+    pc::TwoPartyContext ctx(plan.ring, 42, party, *chan);
+    off::QueryBundle b;
+    off::generate_bundles_ot_ext(plan, ctx, {seed}, &b);
+    return b;
+  };
+  auto side1 = std::async(std::launch::async, run_side, 1);
+  off::QueryBundle b0 = run_side(0);
+  return {std::move(b0), side1.get()};
 }
 
 /// Merges party 0's halves of `b0` with party 1's halves of `b1` — what an
@@ -444,8 +452,8 @@ void expect_relations_hold(const off::PreprocessingPlan& plan, const off::QueryB
 }  // namespace
 
 TEST(OtExtTriples, RemoteEndpointsGenerateRolePrivateTriples) {
-  // Two "processes" (remote contexts over a threaded channel pair) generate
-  // jointly.  Unlike the simulation modes, their halves must come from
+  // Two "processes" (remote contexts over loopback TCP) generate jointly.
+  // Unlike an in-process context, their halves must come from
   // role-private entropy: correct triples, peer slots zero, and NOT the
   // canonical dealer stream — a peer holding the public dealer seed must
   // not be able to precompute this party's material.
@@ -502,7 +510,7 @@ TEST(RolePrivateRandomness, RemoteStreamsDifferAcrossProcessesAndFromSharedStrea
   EXPECT_THROW((void)ctx0.role_prng(1), std::logic_error);
   EXPECT_THROW((void)ctx1.role_prng(0), std::logic_error);
   // In-process simulation contexts alias the shared streams (transcript
-  // compatibility with the historical modes).
+  // compatibility with the historical runs).
   pc::TwoPartyContext sim2(pc::RingConfig{}, 42);
   EXPECT_EQ(sim2.role_prng(0).next_u64(), shared0[0]);
 }

@@ -2,8 +2,8 @@
 // independent threads, each with its OWN remote TwoPartyContext over a
 // real localhost TCP connection — the same code path the party_server /
 // party_client binaries drive across OS processes.  The acceptance bar:
-// logits bit-identical to the in-process modes (threaded AND lockstep)
-// and TrafficStats bytes/rounds equal to the simulated channel's, for the
+// logits bit-identical to the in-process context's and TrafficStats
+// bytes/rounds equal to the in-process channel pair's, for the
 // fused, store-served, and networked-dealer serving modes.  The ot-ext
 // serving mode is the deliberate exception: its triples come from
 // role-private entropy, so both endpoints must agree exactly with EACH
@@ -99,11 +99,11 @@ std::pair<PartyOutcome, PartyOutcome> run_remote(
 }
 
 /// In-process reference transcript: fresh per-query context with the
-/// canonical seed, in the requested exec mode.
+/// canonical seed.
 ir::ExecResult reference_query(const RemoteFixture& f, const ir::SecureProgram& program,
-                               std::size_t q, pc::ExecMode mode, proto::SecureConfig cfg,
+                               std::size_t q, proto::SecureConfig cfg,
                                pc::TrafficStats* stats_out) {
-  pc::TwoPartyContext qctx(pc::RingConfig{}, proto::SecureNetwork::query_context_seed(q), mode);
+  pc::TwoPartyContext qctx(pc::RingConfig{}, proto::SecureNetwork::query_context_seed(q));
   ir::ExecOptions opts;
   opts.cfg = cfg;
   ir::ExecResult res = ir::execute(program, f.snet->params(), qctx, f.queries[q], opts);
@@ -138,14 +138,13 @@ void expect_remote_matches_reference(const RemoteFixture& f, const ir::SecurePro
   const auto& [p0, p1] = outcome;
   for (std::size_t q = 0; q < f.queries.size(); ++q) {
     pc::TrafficStats ref_stats;
-    const ir::ExecResult ref =
-        reference_query(f, program, q, pc::ExecMode::threaded, cfg, &ref_stats);
+    const ir::ExecResult ref = reference_query(f, program, q, cfg, &ref_stats);
     // Both processes reveal the same result...
-    expect_same_logits(p0.results[q].logits, ref.logits, "party0 vs threaded reference");
-    expect_same_logits(p1.results[q].logits, ref.logits, "party1 vs threaded reference");
+    expect_same_logits(p0.results[q].logits, ref.logits, "party0 vs in-process reference");
+    expect_same_logits(p1.results[q].logits, ref.logits, "party1 vs in-process reference");
     EXPECT_EQ(p0.results[q].labels, ref.labels);
     EXPECT_EQ(p1.results[q].labels, ref.labels);
-    // ...and both endpoints' meters equal the simulated pair's.
+    // ...and both endpoints' meters equal the in-process pair's.
     for (const pc::TrafficStats* s : {&p0.stats[q], &p1.stats[q]}) {
       EXPECT_EQ(s->total_bytes(), ref_stats.total_bytes()) << "query " << q;
       EXPECT_EQ(s->bytes_p0_to_p1, ref_stats.bytes_p0_to_p1) << "query " << q;
@@ -153,11 +152,6 @@ void expect_remote_matches_reference(const RemoteFixture& f, const ir::SecurePro
       EXPECT_EQ(s->rounds, ref_stats.rounds) << "query " << q;
       EXPECT_EQ(s->messages, ref_stats.messages) << "query " << q;
     }
-    // Lockstep reference agrees too (threaded == lockstep bit-identity is
-    // re-pinned here on the same transcript).
-    const ir::ExecResult lockstep =
-        reference_query(f, program, q, pc::ExecMode::lockstep, cfg, nullptr);
-    expect_same_logits(lockstep.logits, ref.logits, "lockstep vs threaded");
   }
 }
 
@@ -191,8 +185,7 @@ TEST(RemoteInference, EagerScheduleMatchesToo) {
   const ir::SecureProgram per_op = pasnet::testing::per_op_groups(f.snet->program());
   const auto outcome = run_remote(f, per_op, [&](int) { return fused_opts(cfg); });
   expect_remote_matches_reference(f, per_op, cfg, outcome);
-  const ir::ExecResult scheduled =
-      reference_query(f, f.snet->program(), 0, pc::ExecMode::lockstep, cfg, nullptr);
+  const ir::ExecResult scheduled = reference_query(f, f.snet->program(), 0, cfg, nullptr);
   expect_same_logits(outcome.first.results[0].logits, scheduled.logits,
                      "per-op groups vs scheduled");
 }
@@ -265,8 +258,7 @@ TEST(RemoteInference, OtExtServedTwoProcessMatchesWithNoIdealOtHatch) {
   const auto& [p0, p1] = outcome;
   for (std::size_t q = 0; q < f.queries.size(); ++q) {
     pc::TrafficStats ref_stats;
-    const ir::ExecResult ref =
-        reference_query(f, f.snet->program(), q, pc::ExecMode::threaded, cfg, &ref_stats);
+    const ir::ExecResult ref = reference_query(f, f.snet->program(), q, cfg, &ref_stats);
     // The joint opening reveals one value: both endpoints agree exactly.
     expect_same_logits(p0.results[q].logits, p1.results[q].logits, "party0 vs party1");
     EXPECT_EQ(p0.results[q].labels, p1.results[q].labels) << "query " << q;
@@ -293,31 +285,25 @@ TEST(RemoteInference, OtExtServedTwoProcessMatchesWithNoIdealOtHatch) {
 }
 
 TEST(RemoteInference, OtExtInProcessLockstepAndThreadedMatchDealerPath) {
-  // The same OT-ext material serves the in-process execution modes too:
-  // per-query contexts with an OtExtTripleSource installed reproduce the
-  // fused dealer path's logits in lockstep AND threaded mode, for both the
-  // ReLU and the polynomial test models.
+  // The same OT-ext material serves the in-process context too: per-query
+  // contexts with an OtExtTripleSource installed reproduce the fused dealer
+  // path's logits, for both the ReLU and the polynomial test models.
   for (const bool poly : {false, true}) {
     RemoteFixture f(poly ? nn::OpKind::x2act : nn::OpKind::relu,
                     poly ? nn::OpKind::avgpool : nn::OpKind::maxpool, 2);
     const proto::SecureConfig cfg;
     const off::PreprocessingPlan plan = proto::Workload(*f.snet).plan();
     for (std::size_t q = 0; q < f.queries.size(); ++q) {
-      const ir::ExecResult ref =
-          reference_query(f, f.snet->program(), q, pc::ExecMode::lockstep, cfg, nullptr);
-      for (const pc::ExecMode mode : {pc::ExecMode::lockstep, pc::ExecMode::threaded}) {
-        pc::TwoPartyContext qctx(pc::RingConfig{}, proto::SecureNetwork::query_context_seed(q),
-                                 mode);
-        off::OtExtTripleSource src(plan, qctx,
-                                   proto::SecureNetwork::query_dealer_seed(q));
-        qctx.set_triple_source(&src);
-        ir::ExecOptions opts;
-        opts.cfg = cfg;
-        const ir::ExecResult res =
-            ir::execute(f.snet->program(), f.snet->params(), qctx, f.queries[q], opts);
-        expect_same_logits(res.logits, ref.logits,
-                           poly ? "ot-ext poly model" : "ot-ext relu model");
-      }
+      const ir::ExecResult ref = reference_query(f, f.snet->program(), q, cfg, nullptr);
+      pc::TwoPartyContext qctx(pc::RingConfig{}, proto::SecureNetwork::query_context_seed(q));
+      off::OtExtTripleSource src(plan, qctx, proto::SecureNetwork::query_dealer_seed(q));
+      qctx.set_triple_source(&src);
+      ir::ExecOptions opts;
+      opts.cfg = cfg;
+      const ir::ExecResult res =
+          ir::execute(f.snet->program(), f.snet->params(), qctx, f.queries[q], opts);
+      expect_same_logits(res.logits, ref.logits,
+                         poly ? "ot-ext poly model" : "ot-ext relu model");
     }
   }
 }
@@ -399,8 +385,7 @@ TEST(RemoteInference, BatchedRemoteChunkBitIdenticalToPerQueryRunsWithFewerRound
   std::uint64_t per_query_rounds = 0;
   for (std::size_t q = 0; q < f.queries.size(); ++q) {
     pc::TrafficStats ref_stats;
-    const ir::ExecResult ref =
-        reference_query(f, f.snet->program(), q, pc::ExecMode::lockstep, cfg, &ref_stats);
+    const ir::ExecResult ref = reference_query(f, f.snet->program(), q, cfg, &ref_stats);
     expect_same_logits(p0.first.logits[q], ref.logits, "party0 batched vs independent");
     expect_same_logits(p1.first.logits[q], ref.logits, "party1 batched vs independent");
     per_query_rounds += ref_stats.rounds;
@@ -431,8 +416,7 @@ TEST(RemoteInference, BatchedRemoteStoreServedMatchesIndependentRuns) {
     return o;
   });
   for (std::size_t q = 0; q < f.queries.size(); ++q) {
-    const ir::ExecResult ref =
-        reference_query(f, f.snet->program(), q, pc::ExecMode::lockstep, cfg, nullptr);
+    const ir::ExecResult ref = reference_query(f, f.snet->program(), q, cfg, nullptr);
     expect_same_logits(p0.first.logits[q], ref.logits, "party0 store batched");
     expect_same_logits(p1.first.logits[q], ref.logits, "party1 store batched");
   }
@@ -460,8 +444,7 @@ TEST(RemoteInference, BatchedRemoteDealerServedMatchesIndependentRuns) {
       return o;
     });
     for (std::size_t q = 0; q < f.queries.size(); ++q) {
-      const ir::ExecResult ref =
-          reference_query(f, f.snet->program(), q, pc::ExecMode::lockstep, cfg, nullptr);
+      const ir::ExecResult ref = reference_query(f, f.snet->program(), q, cfg, nullptr);
       expect_same_logits(p0.first.logits[q], ref.logits, "party0 dealer batched");
       expect_same_logits(p1.first.logits[q], ref.logits, "party1 dealer batched");
     }
@@ -485,8 +468,7 @@ TEST(RemoteInference, BatchedRemoteOtExtServedMatchesIndependentRuns) {
     return o;
   });
   for (std::size_t q = 0; q < f.queries.size(); ++q) {
-    const ir::ExecResult ref =
-        reference_query(f, f.snet->program(), q, pc::ExecMode::lockstep, cfg, nullptr);
+    const ir::ExecResult ref = reference_query(f, f.snet->program(), q, cfg, nullptr);
     // Endpoints reveal identically; role-private triples keep the result
     // only truncation-close to the canonical independent runs.
     expect_same_logits(p0.first.logits[q], p1.first.logits[q],

@@ -55,6 +55,19 @@ TEST(Ring, TruncateMatchesArithmeticShift) {
   }
 }
 
+TEST(Ring, SixtyThreeBitRingSignExtendsWithoutOverflow) {
+  // On a 63-bit ring 2^bits no longer fits an int64: sign extension must
+  // not go through signed arithmetic (UBSan flags the overflow).
+  pc::RingConfig rc{63, 12};
+  EXPECT_EQ(pc::to_signed(rc.sign_bit(), rc), -(std::int64_t{1} << 62));
+  EXPECT_EQ(pc::to_signed(rc.mask(), rc), -1);
+  EXPECT_EQ(pc::to_signed(rc.sign_bit() - 1, rc), (std::int64_t{1} << 62) - 1);
+  EXPECT_EQ(pc::from_signed(-(std::int64_t{1} << 62), rc), rc.sign_bit());
+  // -3.0 with 2f fraction bits truncates to -3.0 with f.
+  const std::uint64_t neg = pc::from_signed(-3 * (std::int64_t{1} << 24), rc);
+  EXPECT_EQ(pc::to_signed(pc::truncate(neg, rc), rc), -3 * (std::int64_t{1} << 12));
+}
+
 TEST(Ring, VectorOpsMatchScalar) {
   pc::RingConfig rc{32, 12};
   pc::Prng prng(5);

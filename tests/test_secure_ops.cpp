@@ -203,18 +203,15 @@ TEST(SecureMaxpool, ThreeByThreeWindowTree) {
 
 TEST(SecureMaxpool, NonzeroPadMatchesPlaintextBothContexts) {
   // Padding positions carry zero shares; on the non-negative post-ReLU
-  // regime that is exactly plaintext max pooling with zero padding.  The
-  // batched tournament must agree under both execution modes.
-  for (const auto mode : {pc::ExecMode::lockstep, pc::ExecMode::threaded}) {
-    pc::TwoPartyContext ctx(pc::RingConfig{}, 42, mode);
-    nn::MaxPool2d pool(2, 2, 1);
-    auto x = random_tensor({2, 3, 5, 5}, 51);
-    for (std::size_t i = 0; i < x.size(); ++i) x[i] = std::abs(x[i]);
-    const auto want = pool.forward(x, false);
-    const auto out = run_single_op(ctx, maxpool_op(x, want, 2, 2, 1), x);
-    EXPECT_EQ(out.shape(), want.shape());
-    EXPECT_LT(max_abs_diff(out, want), 5e-3f);
-  }
+  // regime that is exactly plaintext max pooling with zero padding.
+  pc::TwoPartyContext ctx;
+  nn::MaxPool2d pool(2, 2, 1);
+  auto x = random_tensor({2, 3, 5, 5}, 51);
+  for (std::size_t i = 0; i < x.size(); ++i) x[i] = std::abs(x[i]);
+  const auto want = pool.forward(x, false);
+  const auto out = run_single_op(ctx, maxpool_op(x, want, 2, 2, 1), x);
+  EXPECT_EQ(out.shape(), want.shape());
+  EXPECT_LT(max_abs_diff(out, want), 5e-3f);
 }
 
 TEST(SecureMaxpool, PadWithStrideOneOverlappingWindows) {
@@ -232,22 +229,20 @@ TEST(SecureArgmax, TieBreaksToLowestIndexBothContexts) {
   // Duplicate maxima: the tournament's [a >= b] selector keeps the earlier
   // (lower-index) entry on equality at every level, so the revealed label
   // is the lowest index holding the maximum.
-  for (const auto mode : {pc::ExecMode::lockstep, pc::ExecMode::threaded}) {
-    pc::TwoPartyContext ctx(pc::RingConfig{}, 42, mode);
-    pc::Prng prng(54);
-    nn::Tensor logits({3, 6});
-    const float rows[3][6] = {
-        {0.25f, 2.5f, -1.0f, 2.5f, 0.0f, 2.5f},   // max at 1, 3 and 5 -> 1
-        {-3.0f, -3.0f, -3.0f, -3.0f, -3.0f, -3.0f},  // all equal -> 0
-        {1.0f, 1.0f, 4.0f, 4.0f, -2.0f, 0.5f},    // max at 2 and 3 -> 2
-    };
-    for (int r = 0; r < 3; ++r) {
-      for (int c = 0; c < 6; ++c) logits[static_cast<std::size_t>(r * 6 + c)] = rows[r][c];
-    }
-    const auto sx = proto::share_tensor(logits, prng, ctx.ring());
-    const auto got = proto::secure_argmax(ctx, sx, proto::SecureConfig{});
-    EXPECT_EQ(got, (std::vector<int>{1, 0, 2}));
+  pc::TwoPartyContext ctx;
+  pc::Prng prng(54);
+  nn::Tensor logits({3, 6});
+  const float rows[3][6] = {
+      {0.25f, 2.5f, -1.0f, 2.5f, 0.0f, 2.5f},      // max at 1, 3 and 5 -> 1
+      {-3.0f, -3.0f, -3.0f, -3.0f, -3.0f, -3.0f},  // all equal -> 0
+      {1.0f, 1.0f, 4.0f, 4.0f, -2.0f, 0.5f},       // max at 2 and 3 -> 2
+  };
+  for (int r = 0; r < 3; ++r) {
+    for (int c = 0; c < 6; ++c) logits[static_cast<std::size_t>(r * 6 + c)] = rows[r][c];
   }
+  const auto sx = proto::share_tensor(logits, prng, ctx.ring());
+  const auto got = proto::secure_argmax(ctx, sx, proto::SecureConfig{});
+  EXPECT_EQ(got, (std::vector<int>{1, 0, 2}));
 }
 
 TEST(SecureArgmax, TieAcrossOddTailEntry) {

@@ -1,6 +1,6 @@
 // The Workload serving API and single-context K-query batched execution:
 // batched-K outputs must be bit-identical to K independent single-query
-// runs (lockstep, threaded, store-served and dealer-served alike), chunking
+// runs (store-served and dealer-served alike), chunking
 // and worker sharding must not change any bit, and the batch must actually
 // collapse comparison rounds — a K-lane chunk spends the rounds of ONE
 // query, not K.
@@ -208,25 +208,6 @@ TEST(Workload, WorkerShardingDoesNotChangeBits) {
     EXPECT_EQ(serial.chunk_stats()[c].totals.rounds, sharded.chunk_stats()[c].totals.rounds);
     EXPECT_EQ(serial.chunk_stats()[c].totals.comm_bytes,
               sharded.chunk_stats()[c].totals.comm_bytes);
-  }
-}
-
-TEST(Workload, ThreadedContextBatchedMatchesLockstep) {
-  auto t = train(tiny_cnn(nn::OpKind::relu, nn::OpKind::maxpool), 27);
-  pc::TwoPartyContext lockstep_ctx;
-  proto::SecureNetwork lockstep_net(t.md, *t.graph, t.node_of_layer, lockstep_ctx);
-  pc::TwoPartyContext threaded_ctx(pc::RingConfig{}, 42, pc::ExecMode::threaded);
-  proto::SecureNetwork threaded_net(t.md, *t.graph, t.node_of_layer, threaded_ctx);
-
-  const auto inputs = make_inputs(t.md, 4, 79);
-  proto::WorkloadOptions opts;
-  opts.batch = 4;
-  proto::Workload lockstep_wl(lockstep_net, opts);
-  proto::Workload threaded_wl(threaded_net, opts);
-  const auto a = lockstep_wl.run(inputs);
-  const auto b = threaded_wl.run(inputs);
-  for (std::size_t q = 0; q < inputs.size(); ++q) {
-    expect_bit_identical(a.logits[q], b.logits[q], "threaded", q);
   }
 }
 
