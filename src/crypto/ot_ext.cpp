@@ -94,7 +94,7 @@ std::vector<std::uint8_t> ExtSender::make_chooser_frame(Prng& role_prng) {
   std::vector<std::uint8_t> frame(chooser_frame_bytes());
   for (std::size_t i = 0; i < kBaseOts; ++i) {
     x_[i] = 1 + role_prng.next_below(dh::kPrime - 1);
-    std::uint64_t b = dh::powmod(dh::kGenerator, x_[i]);
+    std::uint64_t b = dh::generator_table().pow(x_[i]);
     if (s_.bit(i)) b = dh::mulmod(b, dh::kPublicC);
     store_u64(frame.data() + i * 8, b);
   }
@@ -109,8 +109,9 @@ void ExtSender::take_setup_reply(const std::vector<std::uint8_t>& frame) {
   if (a_val == 0 || a_val >= dh::kPrime) {
     throw OtExtError("ot_ext: base-OT setup reply carries an invalid group element");
   }
+  const dh::FixedBaseTable a_tab(a_val);
   for (std::size_t i = 0; i < kBaseOts; ++i) {
-    const std::uint64_t key = dh::powmod(a_val, x_[i]);
+    const std::uint64_t key = a_tab.pow(x_[i]);
     const bool si = s_.bit(i);
     const Block128 masked = load_block(frame.data() + 8 + (i * 2 + (si ? 1 : 0)) * 16);
     seed_[i] = masked ^ base_pad(key, i * 2 + (si ? 1 : 0));
@@ -165,20 +166,24 @@ std::vector<std::uint8_t> ExtReceiver::make_setup_reply(
   if (chooser_frame.size() != chooser_frame_bytes()) {
     throw OtExtError("ot_ext: base-OT chooser frame has wrong size");
   }
-  const std::uint64_t r = 1 + role_prng.next_below(dh::kPrime - 1);
-  const std::uint64_t c_inv = dh::invmod(dh::kPublicC);
-  std::vector<std::uint8_t> frame(setup_reply_bytes());
-  store_u64(frame.data(), dh::powmod(dh::kGenerator, r));
+  std::array<std::uint64_t, kBaseOts> key0{};
   for (std::size_t i = 0; i < kBaseOts; ++i) {
-    const std::uint64_t b = load_u64(chooser_frame.data() + i * 8);
-    if (b == 0 || b >= dh::kPrime) {
+    key0[i] = load_u64(chooser_frame.data() + i * 8);
+    if (key0[i] == 0 || key0[i] >= dh::kPrime) {
       throw OtExtError("ot_ext: base-OT chooser frame carries an invalid group element");
     }
+  }
+  // key0 = B_i^r and key1 = (B_i·C^{-1})^r = key0·C^{-r}.
+  const std::uint64_t r = 1 + role_prng.next_below(dh::kPrime - 1);
+  const std::uint64_t c_inv_r = dh::powmod(dh::invmod(dh::kPublicC), r);
+  dh::powmod_batch(key0.data(), kBaseOts, r, key0.data());
+  std::vector<std::uint8_t> frame(setup_reply_bytes());
+  store_u64(frame.data(), dh::generator_table().pow(r));
+  for (std::size_t i = 0; i < kBaseOts; ++i) {
     seed0_[i] = Block128{{role_prng.next_u64(), role_prng.next_u64()}};
     seed1_[i] = Block128{{role_prng.next_u64(), role_prng.next_u64()}};
-    const std::uint64_t key0 = dh::powmod(b, r);
-    const std::uint64_t key1 = dh::powmod(dh::mulmod(b, c_inv), r);
-    store_block(frame.data() + 8 + (i * 2 + 0) * 16, seed0_[i] ^ base_pad(key0, i * 2 + 0));
+    const std::uint64_t key1 = dh::mulmod(key0[i], c_inv_r);
+    store_block(frame.data() + 8 + (i * 2 + 0) * 16, seed0_[i] ^ base_pad(key0[i], i * 2 + 0));
     store_block(frame.data() + 8 + (i * 2 + 1) * 16, seed1_[i] ^ base_pad(key1, i * 2 + 1));
   }
   have_seeds_ = true;

@@ -9,11 +9,13 @@
 
 #include <chrono>
 #include <cstdint>
+#include <cstring>
 #include <future>
 #include <memory>
 #include <vector>
 
 #include "crypto/channel.hpp"
+#include "crypto/ot.hpp"
 #include "crypto/ot_ext.hpp"
 #include "crypto/party.hpp"
 #include "crypto/prng.hpp"
@@ -25,6 +27,7 @@
 #include "offline/triple_store.hpp"
 
 namespace pc = pasnet::crypto;
+namespace dh = pasnet::crypto::dh;
 namespace net = pasnet::net;
 namespace otx = pasnet::crypto::otx;
 namespace off = pasnet::offline;
@@ -227,6 +230,53 @@ TEST(OtExt, ColumnRelationAndPads) {
   }
   EXPECT_THROW((void)pair.sender.q(m), otx::OtExtError);
   EXPECT_THROW((void)pair.receiver.t(m), otx::OtExtError);
+}
+
+TEST(OtExt, BaseOtFramesByteEqualToNaiveGroupArithmetic) {
+  // Naive reference for the base-OT frames, with one square-and-multiply
+  // powmod per group element: B_i = g^{x_i}·C^{s_i}, A = g^r, and
+  // key_i^beta = (B_i·C^{-beta})^r masking seed pair i.
+  const auto pad = [](std::uint64_t key, std::size_t idx) {
+    const std::uint64_t t = pc::splitmix64(key ^ (0x9E3779B97F4A7C15ULL * (idx + 1)));
+    return otx::Block128{{t, pc::splitmix64(t ^ key)}};
+  };
+  const auto put = [](std::vector<std::uint8_t>& f, std::size_t at, std::uint64_t v) {
+    std::memcpy(f.data() + at, &v, 8);
+  };
+  for (const std::uint64_t seed : {3u, 21u, 1234u}) {
+    pc::Prng sprng(seed), sref(seed), rprng(seed + 1), rref(seed + 1);
+    otx::ExtSender sender(sprng);
+    const auto chooser = sender.make_chooser_frame(sprng);
+    const otx::Block128 s{{sref.next_u64(), sref.next_u64()}};
+    std::vector<std::uint8_t> want_chooser(otx::chooser_frame_bytes());
+    for (std::size_t i = 0; i < otx::kBaseOts; ++i) {
+      const std::uint64_t x = 1 + sref.next_below(dh::kPrime - 1);
+      std::uint64_t b = dh::powmod(dh::kGenerator, x);
+      if (s.bit(i)) b = dh::mulmod(b, dh::kPublicC);
+      put(want_chooser, i * 8, b);
+    }
+    ASSERT_EQ(chooser, want_chooser) << seed;
+
+    otx::ExtReceiver receiver;
+    const auto reply = receiver.make_setup_reply(chooser, rprng);
+    std::vector<std::uint8_t> want_reply(otx::setup_reply_bytes());
+    const std::uint64_t r = 1 + rref.next_below(dh::kPrime - 1);
+    put(want_reply, 0, dh::powmod(dh::kGenerator, r));
+    for (std::size_t i = 0; i < otx::kBaseOts; ++i) {
+      std::uint64_t b = 0;
+      std::memcpy(&b, chooser.data() + i * 8, 8);
+      for (std::size_t beta = 0; beta < 2; ++beta) {
+        const otx::Block128 seed_b{{rref.next_u64(), rref.next_u64()}};
+        const otx::Block128 m = seed_b ^ pad(dh::powmod(b, r), i * 2 + beta);
+        put(want_reply, 8 + (i * 2 + beta) * 16, m.w[0]);
+        put(want_reply, 8 + (i * 2 + beta) * 16 + 8, m.w[1]);
+        b = dh::mulmod(b, dh::invmod(dh::kPublicC));
+      }
+    }
+    ASSERT_EQ(reply, want_reply) << seed;
+    EXPECT_EQ(rprng.next_u64(), rref.next_u64());
+    sender.take_setup_reply(reply);
+  }
 }
 
 TEST(OtExt, MalformedFramesThrowTyped) {
