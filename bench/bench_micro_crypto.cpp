@@ -226,23 +226,42 @@ void bm_kern_trunc(benchmark::State& state) {
 }
 BENCHMARK(bm_kern_trunc)->Args({16384, 0})->Args({16384, 1});
 
+/// Args: {simd, m, k, n}.  The conv-shaped product is
+/// (out_ch x c*k^2) . (c*k^2 x oh*ow); `gmacs` counts m*k*n ring
+/// multiply-adds per second.
 void bm_kern_gemm(benchmark::State& state) {
   if (!select_backend(state, state.range(0) != 0)) return;
   pc::RingConfig rc;
   pc::Prng prng(15);
-  // The conv-shaped product: (out_ch x c*k^2) . (c*k^2 x oh*ow).
-  const std::size_t m = 16, k = 72, n = 256;
+  const auto m = static_cast<std::size_t>(state.range(1));
+  const auto k = static_cast<std::size_t>(state.range(2));
+  const auto n = static_cast<std::size_t>(state.range(3));
   const pc::RingVec a = random_ring(prng, m * k, rc), b = random_ring(prng, k * n, rc);
   pc::RingVec out(m * n);
   for (auto _ : state) {
     kern::gemm(out.data(), a.data(), b.data(), m, k, n, rc.mask());
     benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(state.iterations() * static_cast<long long>(m * n));
   state.SetBytesProcessed(state.iterations() * static_cast<long long>(m * n) * 8);
+  state.counters["gmacs"] = benchmark::Counter(
+      1e-9 * static_cast<double>(state.iterations()) * static_cast<double>(m * k * n),
+      benchmark::Counter::kIsRate);
   restore_best_backend();
 }
-BENCHMARK(bm_kern_gemm)->Arg(0)->Arg(1);
+// 16x72x256 is a wide early-layer conv; the rest are the poly_batch model's
+// deep-layer shapes (n = output spatial extent 1 or 4: the skinny schedule).
+BENCHMARK(bm_kern_gemm)
+    ->ArgNames({"simd", "m", "k", "n"})
+    ->Args({0, 16, 72, 256})
+    ->Args({1, 16, 72, 256})
+    ->Args({0, 64, 576, 1})
+    ->Args({1, 64, 576, 1})
+    ->Args({0, 64, 288, 1})
+    ->Args({1, 64, 288, 1})
+    ->Args({0, 32, 288, 4})
+    ->Args({1, 32, 288, 4});
 
 /// The scalar baseline the tentpole is measured against: a transcription of
 /// the seed's Conv2d share-product path (triple_source.cpp's per-element

@@ -286,8 +286,9 @@ void MatmulRound::stage(TwoPartyContext& ctx, Shared x, Shared y, std::size_t m,
 }
 
 Shared MatmulRound::finish(const RingConfig& rc) {
-  // R_Si = Z_Si + X_Si·F + E·Y_Si [- E·F on party 1]: seed the accumulator
-  // with Z, fuse both GEMMs unreduced into it, and mask once at the end.
+  // R_S0 = Z_S0 + X_S0·F + E·Y_S0 and R_S1 = Z_S1 + X_S1·F + E·(Y_S1 - F):
+  // party 1's -E·F term folds into its E·Y product by linearity.  Seed the
+  // accumulator with Z, fuse both GEMMs unreduced into it, and mask once.
   const std::size_t out = m_ * n_;
   Shared r;
   r.s0 = t_.z.s0;
@@ -295,11 +296,10 @@ Shared MatmulRound::finish(const RingConfig& rc) {
   kern::gemm_acc(r.s0.data(), e_.data(), y_.s0.data(), m_, k_, n_);
   kern::reduce(r.s0.data(), r.s0.data(), out, rc.mask());
   r.s1 = t_.z.s1;
+  const RingVec y1f = sub_vec(y_.s1, f_, rc);
   kern::gemm_acc(r.s1.data(), x_.s1.data(), f_.data(), m_, k_, n_);
-  kern::gemm_acc(r.s1.data(), e_.data(), y_.s1.data(), m_, k_, n_);
-  RingVec ef(out);
-  kern::gemm(ef.data(), e_.data(), f_.data(), m_, k_, n_, rc.mask());
-  kern::sub(r.s1.data(), r.s1.data(), ef.data(), out, rc.mask());
+  kern::gemm_acc(r.s1.data(), e_.data(), y1f.data(), m_, k_, n_);
+  kern::reduce(r.s1.data(), r.s1.data(), out, rc.mask());
   return r;
 }
 
@@ -315,10 +315,10 @@ void BilinearRound::stage(TwoPartyContext& ctx, const Shared& x, const Shared& w
 }
 
 Shared BilinearRound::finish(const RingConfig& rc) {
-  // R_i = [i==0]·f(F,E) + f(A_i,E) + f(F,B_i) + Z_i.
+  // R_i = [i==0]·f(F,E) + f(A_i,E) + f(F,B_i) + Z_i.  f is linear in its
+  // input, so party 0's f(F,E) + f(A_0,E) is the one product f(F + A_0, E).
   Shared y;
-  y.s0 = map_(f_, e_);
-  y.s0 = add_vec(add_vec(y.s0, map_(t_.a.s0, e_), rc),
+  y.s0 = add_vec(map_(add_vec(f_, t_.a.s0, rc), e_),
                  add_vec(map_(f_, t_.b.s0), t_.z.s0, rc), rc);
   y.s1 = add_vec(map_(t_.a.s1, e_), add_vec(map_(f_, t_.b.s1), t_.z.s1, rc), rc);
   return y;

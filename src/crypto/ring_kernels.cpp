@@ -111,6 +111,28 @@ void axpy_acc(std::uint64_t* dst, const std::uint64_t* b, std::uint64_t c,
   for (std::size_t j = 0; j < n; ++j) dst[j] += c * b[j];
 }
 
+/// out[r·n + j] += Σ_p a[r·lda + p] · bt[j·kw + p] for R rows of A against
+/// every row of the transposed panel bt — the skinny-GEMM block.
+template <int R>
+static inline void dot_rows(std::uint64_t* out, const std::uint64_t* a, std::size_t lda,
+                            const std::uint64_t* bt, std::size_t kw, std::size_t n) noexcept {
+  for (std::size_t j = 0; j < n; ++j) {
+    const std::uint64_t* bj = bt + j * kw;
+    std::uint64_t s[R] = {};
+    for (std::size_t p = 0; p < kw; ++p) {
+      for (int r = 0; r < R; ++r) s[r] += a[r * lda + p] * bj[p];
+    }
+    for (int r = 0; r < R; ++r) out[r * n + j] += s[r];
+  }
+}
+
+void dot_panel(std::uint64_t* out, const std::uint64_t* a, std::size_t lda,
+               const std::uint64_t* bt, std::size_t kw, std::size_t m, std::size_t n) noexcept {
+  std::size_t i = 0;
+  for (; i + 4 <= m; i += 4) dot_rows<4>(out + i * n, a + i * lda, lda, bt, kw, n);
+  for (; i < m; ++i) dot_rows<1>(out + i * n, a + i * lda, lda, bt, kw, n);
+}
+
 }  // namespace sc
 
 // ---------------------------------------------------------------------------
@@ -619,26 +641,47 @@ PASNET_TGT void gemm_acc(std::uint64_t* out, const std::uint64_t* a, const std::
   }
 }
 
-/// dst[j] += c * b[j], unreduced — the GEMM micro-kernel (vpmullq).
-PASNET_TGT void axpy_acc(std::uint64_t* dst, const std::uint64_t* b, std::uint64_t c,
-                         std::size_t n) noexcept {
-  const __m512i vc = _mm512_set1_epi64(static_cast<long long>(c));
-  std::size_t j = 0;
-  for (; j + 16 <= n; j += 16) {
-    const __m512i b0 = _mm512_loadu_si512(b + j);
-    const __m512i b1 = _mm512_loadu_si512(b + j + 8);
-    const __m512i d0 = _mm512_loadu_si512(dst + j);
-    const __m512i d1 = _mm512_loadu_si512(dst + j + 8);
-    _mm512_storeu_si512(dst + j, _mm512_add_epi64(d0, _mm512_mullo_epi64(vc, b0)));
-    _mm512_storeu_si512(dst + j + 8, _mm512_add_epi64(d1, _mm512_mullo_epi64(vc, b1)));
+/// Wrapping horizontal sum.  (GCC's _mm512_reduce_add_epi64 adds signed
+/// lanes, which UBSan rightly reports as overflow.)
+PASNET_TGT static inline std::uint64_t hsum(__m512i v) noexcept {
+  const __m256i h =
+      _mm256_add_epi64(_mm512_castsi512_si256(v), _mm512_extracti64x4_epi64(v, 1));
+  const __m128i s = _mm_add_epi64(_mm256_castsi256_si128(h), _mm256_extracti128_si256(h, 1));
+  return static_cast<std::uint64_t>(_mm_cvtsi128_si64(s)) +
+         static_cast<std::uint64_t>(_mm_extract_epi64(s, 1));
+}
+
+/// sc::dot_rows with one 8-lane vpmullq accumulator per row.
+template <int R>
+PASNET_TGT static inline void dot_rows(std::uint64_t* out, const std::uint64_t* a,
+                                       std::size_t lda, const std::uint64_t* bt, std::size_t kw,
+                                       std::size_t n) noexcept {
+  const std::size_t kv = kw & ~std::size_t{7};
+  for (std::size_t j = 0; j < n; ++j) {
+    const std::uint64_t* bj = bt + j * kw;
+    __m512i c[R];
+    for (int r = 0; r < R; ++r) c[r] = _mm512_setzero_si512();
+    for (std::size_t p = 0; p < kv; p += 8) {
+      const __m512i vb = _mm512_loadu_si512(bj + p);
+      for (int r = 0; r < R; ++r) {
+        c[r] = _mm512_add_epi64(c[r],
+                                _mm512_mullo_epi64(_mm512_loadu_si512(a + r * lda + p), vb));
+      }
+    }
+    for (int r = 0; r < R; ++r) {
+      std::uint64_t s = hsum(c[r]);
+      for (std::size_t p = kv; p < kw; ++p) s += a[r * lda + p] * bj[p];
+      out[r * n + j] += s;
+    }
   }
-  for (; j < n; j += 8) {
-    const __mmask8 k = lane_mask(n - j);
-    const __m512i vb = _mm512_maskz_loadu_epi64(k, b + j);
-    const __m512i vd = _mm512_maskz_loadu_epi64(k, dst + j);
-    _mm512_mask_storeu_epi64(dst + j, k,
-                             _mm512_add_epi64(vd, _mm512_mullo_epi64(vc, vb)));
-  }
+}
+
+PASNET_TGT void dot_panel(std::uint64_t* out, const std::uint64_t* a, std::size_t lda,
+                          const std::uint64_t* bt, std::size_t kw, std::size_t m,
+                          std::size_t n) noexcept {
+  std::size_t i = 0;
+  for (; i + 4 <= m; i += 4) dot_rows<4>(out + i * n, a + i * lda, lda, bt, kw, n);
+  for (; i < m; ++i) dot_rows<1>(out + i * n, a + i * lda, lda, bt, kw, n);
 }
 
 #undef PASNET_TGT
@@ -902,42 +945,41 @@ void copy_strided(std::uint64_t* dst, const std::uint64_t* src, std::size_t n,
 
 namespace {
 
-/// dst[j] += c * b[j] unreduced, backend-dispatched once per row.
-inline void axpy_acc(std::uint64_t* dst, const std::uint64_t* b, std::uint64_t c,
+using AxpyFn = void (*)(std::uint64_t*, const std::uint64_t*, std::uint64_t,
+                        std::size_t) noexcept;
+using DotPanelFn = void (*)(std::uint64_t*, const std::uint64_t*, std::size_t,
+                            const std::uint64_t*, std::size_t, std::size_t,
+                            std::size_t) noexcept;
+
+/// Stack budget of the skinny schedule's transposed B panel, in elements
+/// (8 KiB): gemm_acc is noexcept and heap-free, and the panel plus four A
+/// rows of one k-block stay inside L1.
+constexpr std::size_t kSkinnyPanel = 1024;
+
+/// Skinny schedule (n < 8): a per-row axpy would touch under one vector of
+/// output per A element.  Instead transpose each k-block of B into a
+/// k-contiguous n×kw panel and take every output as a dot product of an A
+/// row with a panel row, four A rows at a time (`dot`).
+void gemm_acc_skinny(DotPanelFn dot, std::uint64_t* out, const std::uint64_t* a,
+                     const std::uint64_t* b, std::size_t m, std::size_t k,
                      std::size_t n) noexcept {
-#if PASNET_KERN_AVX512
-  if (active_backend() == Backend::avx512) {
-    av512::axpy_acc(dst, b, c, n);
-    return;
+  std::uint64_t panel[kSkinnyPanel];
+  const std::size_t kc = (kSkinnyPanel / n) & ~std::size_t{7};
+  for (std::size_t pc = 0; pc < k; pc += kc) {
+    const std::size_t kw = k - pc < kc ? k - pc : kc;
+    for (std::size_t p = 0; p < kw; ++p) {
+      for (std::size_t j = 0; j < n; ++j) panel[j * kw + p] = b[(pc + p) * n + j];
+    }
+    dot(out, a + pc, k, panel, kw, m, n);
   }
-#endif
-#if PASNET_KERN_AVX2
-  if (active_backend() == Backend::avx2) {
-    avx2::axpy_acc(dst, b, c, n);
-    return;
-  }
-#endif
-  sc::axpy_acc(dst, b, c, n);
 }
 
-}  // namespace
-
-void gemm_acc(std::uint64_t* out, const std::uint64_t* a, const std::uint64_t* b, std::size_t m,
-              std::size_t k, std::size_t n) noexcept {
-#if PASNET_KERN_AVX512
-  // AVX-512 has enough registers to keep a 4x32 output tile resident across
-  // the whole k loop, which beats the axpy schedule outright.  Matrix-vector
-  // shapes (n < one vector) would run mostly-masked, so they stay on the
-  // axpy schedule below.
-  if (n >= 8 && active_backend() == Backend::avx512) {
-    av512::gemm_acc(out, a, b, m, k, n);
-    return;
-  }
-#endif
-  // Rank-1-update schedule blocked over k and n: for each (n-block, k-block)
-  // pair, stream the B panel once across all rows of A so it stays hot in
-  // L1/L2.  Wrapping addition is associative and commutative, so any
-  // blocking yields the bytes the naive triple loop yields.
+/// Rank-1-update schedule blocked over k and n: for each (n-block, k-block)
+/// pair, stream the B panel once across all rows of A so it stays hot in
+/// L1/L2.
+void gemm_acc_axpy(AxpyFn axpy, std::uint64_t* out, const std::uint64_t* a,
+                   const std::uint64_t* b, std::size_t m, std::size_t k,
+                   std::size_t n) noexcept {
   constexpr std::size_t kNc = 512;   // columns of B per panel (4 KiB rows)
   constexpr std::size_t kKc = 128;   // rows of B per panel
   for (std::size_t jc = 0; jc < n; jc += kNc) {
@@ -950,10 +992,44 @@ void gemm_acc(std::uint64_t* out, const std::uint64_t* a, const std::uint64_t* b
         for (std::size_t p = 0; p < pw; ++p) {
           const std::uint64_t aip = arow[p];
           if (aip == 0) continue;  // padded im2col rows are zero-heavy
-          axpy_acc(orow, b + (pc + p) * n + jc, aip, jw);
+          axpy(orow, b + (pc + p) * n + jc, aip, jw);
         }
       }
     }
+  }
+}
+
+}  // namespace
+
+void gemm_acc(std::uint64_t* out, const std::uint64_t* a, const std::uint64_t* b, std::size_t m,
+              std::size_t k, std::size_t n) noexcept {
+  if (m == 0 || k == 0 || n == 0) return;
+  // One backend resolution per call.  Wrapping addition is associative and
+  // commutative, so every schedule below yields the bytes the naive triple
+  // loop yields.
+  [[maybe_unused]] const Backend be = active_backend();
+  DotPanelFn dot = sc::dot_panel;
+  AxpyFn axpy = sc::axpy_acc;
+#if PASNET_KERN_AVX512
+  if (be == Backend::avx512) {
+    // Enough registers to keep a 4x32 output tile resident across the whole
+    // k loop, which beats the axpy schedule outright once n fills a vector.
+    if (n >= 8) {
+      av512::gemm_acc(out, a, b, m, k, n);
+      return;
+    }
+    dot = av512::dot_panel;
+  }
+#endif
+#if PASNET_KERN_AVX2
+  // AVX2 lacks a 64-bit multiply, so its skinny products keep the scalar
+  // dot kernel, which the compiler already unrolls well.
+  if (be == Backend::avx2) axpy = avx2::axpy_acc;
+#endif
+  if (n < 8) {
+    gemm_acc_skinny(dot, out, a, b, m, k, n);
+  } else {
+    gemm_acc_axpy(axpy, out, a, b, m, k, n);
   }
 }
 

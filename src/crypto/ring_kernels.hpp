@@ -114,12 +114,16 @@ void copy_strided(std::uint64_t* dst, const std::uint64_t* src, std::size_t n,
 /// out = A · B & mask with A m×k, B k×n, out m×n, all row-major.  Blocked
 /// and tiled over k and n; accumulation is lazy (mod 2^64) with one masked
 /// pass at the end — bit-identical to the naive masked triple loop.
+/// Skinny products (n < 8, the deep conv layers' spatial extent) run as
+/// blocked dot products against a transposed B panel on the stack; wider
+/// ones as a 4×32 register tile (avx512) or row-axpy updates.
 void gemm(std::uint64_t* out, const std::uint64_t* a, const std::uint64_t* b, std::size_t m,
           std::size_t k, std::size_t n, std::uint64_t mask) noexcept;
 
 /// out += A · B, UNREDUCED (mod 2^64): callers fuse several products into
 /// one accumulator and apply reduce() once.  Beaver matrix recombination
-/// (Z + X·F + E·Y) is three of these plus one masked pass.
+/// (Z + X·F + E·Y) is two of these on a Z-seeded accumulator plus one
+/// masked pass.
 void gemm_acc(std::uint64_t* out, const std::uint64_t* a, const std::uint64_t* b, std::size_t m,
               std::size_t k, std::size_t n) noexcept;
 

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <array>
+
 #include "crypto/party.hpp"
 
 namespace pc = pasnet::crypto;
@@ -139,6 +141,102 @@ TEST(MatmulProtocol, MatchesPlaintext) {
   // Expected: [[1*0.5+2*2+3*-0.5, 1*-1+2*0.25+3*3], [...]]
   const std::vector<double> want{3.0, 8.5, 9.0, 15.25};
   for (std::size_t i = 0; i < want.size(); ++i) EXPECT_NEAR(got[i], want[i], 2e-2);
+}
+
+namespace {
+
+pc::RingVec random_ring(pc::Prng& prng, std::size_t n, const pc::RingConfig& rc) {
+  pc::RingVec v(n);
+  for (auto& e : v) e = prng.next_u64() & rc.mask();
+  return v;
+}
+
+/// Direct (loop-nest) convolution mod 2^bits: the f(X, W) a bilinear spec
+/// describes, written independently of im2col and the GEMM kernels.
+pc::RingVec direct_conv(const pc::RingVec& x, const pc::RingVec& w,
+                        const pc::BilinearSpec& sp, const pc::RingConfig& rc) {
+  const bool dw = sp.kind == pc::BilinearKind::depthwise_conv2d;
+  const int oh = sp.out_h(), ow = sp.out_w(), kk = sp.kernel;
+  pc::RingVec out(sp.nz());
+  std::size_t o = 0;
+  for (int s = 0; s < sp.batch; ++s) {
+    for (int oc = 0; oc < sp.out_ch; ++oc) {
+      for (int y = 0; y < oh; ++y) {
+        for (int xo = 0; xo < ow; ++xo, ++o) {
+          std::uint64_t acc = 0;
+          for (int ch = dw ? oc : 0; ch < (dw ? oc + 1 : sp.in_ch); ++ch) {
+            for (int kh = 0; kh < kk; ++kh) {
+              for (int kw = 0; kw < kk; ++kw) {
+                const int iy = y * sp.stride + kh - sp.pad;
+                const int ix = xo * sp.stride + kw - sp.pad;
+                if (iy < 0 || iy >= sp.in_h || ix < 0 || ix >= sp.in_w) continue;
+                const std::size_t xi =
+                    ((static_cast<std::size_t>(s) * sp.in_ch + ch) * sp.in_h + iy) * sp.in_w +
+                    ix;
+                const std::size_t wrow = dw ? static_cast<std::size_t>(oc)
+                                            : static_cast<std::size_t>(oc) * sp.in_ch + ch;
+                acc += x[xi] * w[(wrow * kk + kh) * kk + kw];
+              }
+            }
+          }
+          out[o] = acc & rc.mask();
+        }
+      }
+    }
+  }
+  return out;
+}
+
+}  // namespace
+
+// BilinearRound and MatmulRound recombine the opened masks with the triple
+// shares through identities (party 0 folds f(F,E) + f(A_0,E) into
+// f(F + A_0, E); party 1 folds -E·F into E·(Y_1 - F)).  Reconstructing the
+// two finish() shares must give the exact product mod 2^bits.
+TEST(BeaverRounds, FinishIsRingExactForConvDepthwiseAndLinear) {
+  pc::Prng prng(0xB11);
+  for (const int bits : {19, 32, 64}) {
+    const pc::RingConfig rc{bits, 0};
+    pc::TwoPartyContext ctx(rc, 90 + static_cast<std::uint64_t>(bits));
+    pc::BilinearSpec conv;
+    conv.batch = 2, conv.in_ch = 3, conv.in_h = 5, conv.in_w = 4, conv.out_ch = 4;
+    conv.kernel = 3, conv.stride = 1, conv.pad = 1;
+    pc::BilinearSpec deep = conv;  // the skinny n = 1 shape of a deep layer
+    deep.batch = 1, deep.in_ch = 8, deep.in_h = 2, deep.in_w = 2, deep.out_ch = 6;
+    deep.stride = 2, deep.pad = 1;
+    pc::BilinearSpec dw = conv;
+    dw.kind = pc::BilinearKind::depthwise_conv2d;
+    dw.out_ch = dw.in_ch, dw.stride = 2;
+    for (const pc::BilinearSpec& sp : {conv, deep, dw}) {
+      const pc::RingVec x = random_ring(prng, sp.na(), rc);
+      const pc::RingVec w = random_ring(prng, sp.nb(), rc);
+      pc::BilinearRound r;
+      r.stage(ctx, pc::share(x, prng, rc), pc::share(w, prng, rc), sp);
+      ctx.opens().flush();
+      EXPECT_EQ(pc::reconstruct(r.finish(rc), rc), direct_conv(x, w, sp, rc))
+          << "bits=" << bits << " depthwise=" << (sp.kind == pc::BilinearKind::depthwise_conv2d)
+          << " in=" << sp.in_ch << "x" << sp.in_h << "x" << sp.in_w;
+    }
+    // Linear layers: (batch × in) · (in × out), wide and skinny outputs.
+    for (const auto& [m, k, n] : {std::array<std::size_t, 3>{1, 64, 10},
+                                  std::array<std::size_t, 3>{4, 33, 1},
+                                  std::array<std::size_t, 3>{3, 7, 5}}) {
+      const pc::RingVec x = random_ring(prng, m * k, rc);
+      const pc::RingVec y = random_ring(prng, k * n, rc);
+      pc::MatmulRound r;
+      r.stage(ctx, pc::share(x, prng, rc), pc::share(y, prng, rc), m, k, n);
+      ctx.opens().flush();
+      pc::RingVec want(m * n, 0);
+      for (std::size_t i = 0; i < m; ++i) {
+        for (std::size_t j = 0; j < n; ++j) {
+          for (std::size_t p = 0; p < k; ++p) want[i * n + j] += x[i * k + p] * y[p * n + j];
+          want[i * n + j] &= rc.mask();
+        }
+      }
+      EXPECT_EQ(pc::reconstruct(r.finish(rc), rc), want)
+          << "bits=" << bits << " linear " << m << "x" << k << "x" << n;
+    }
+  }
 }
 
 TEST(OpenProtocol, ReconstructsOverChannel) {

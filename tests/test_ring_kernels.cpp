@@ -58,6 +58,20 @@ Vec random_vec(pc::Prng& prng, std::size_t n, const pc::RingConfig& rc) {
 
 const std::vector<int> kRingBits = {8, 13, 16, 27, 32, 48, 63, 64};
 
+/// The reference product: the naive masked triple loop.
+Vec naive_gemm(const Vec& a, const Vec& b, std::size_t m, std::size_t k, std::size_t n,
+               std::uint64_t mask) {
+  Vec out(m * n, 0);
+  for (std::size_t i = 0; i < m; ++i) {
+    for (std::size_t j = 0; j < n; ++j) {
+      std::uint64_t acc = 0;
+      for (std::size_t p = 0; p < k; ++p) acc += a[i * k + p] * b[p * n + j];
+      out[i * n + j] = acc & mask;
+    }
+  }
+  return out;
+}
+
 }  // namespace
 
 TEST(RingKernels, DispatchRoundTrip) {
@@ -194,14 +208,7 @@ TEST(RingKernels, GemmMatchesNaiveTripleLoopRandomShapes) {
         const std::size_t n = 1 + prng.next_u64() % 600;
         const Vec a = random_vec(prng, m * k, rc);
         const Vec b = random_vec(prng, k * n, rc);
-        Vec want(m * n, 0);
-        for (std::size_t i = 0; i < m; ++i) {
-          for (std::size_t j = 0; j < n; ++j) {
-            std::uint64_t acc = 0;
-            for (std::size_t p = 0; p < k; ++p) acc += a[i * k + p] * b[p * n + j];
-            want[i * n + j] = acc & mask;
-          }
-        }
+        const Vec want = naive_gemm(a, b, m, k, n, mask);
         Vec got(m * n);
         kern::gemm(got.data(), a.data(), b.data(), m, k, n, mask);
         ASSERT_EQ(got, want) << kern::backend_name(backend) << " gemm " << m << "x" << k
@@ -214,6 +221,54 @@ TEST(RingKernels, GemmMatchesNaiveTripleLoopRandomShapes) {
         for (std::size_t i = 0; i < m * n; ++i) {
           ASSERT_EQ(acc[i], (base[i] + want[i]) & mask)
               << kern::backend_name(backend) << " gemm_acc idx=" << i;
+        }
+      }
+    }
+  }
+}
+
+TEST(RingKernels, GemmSkinnyShapesMatchNaiveEveryBackendAndWidth) {
+  // Explicit shapes around the skinny schedule (n < 8): every n on both
+  // sides of the 8-column switch and of the 32-column avx512 tile, m on both
+  // sides of the 4-row block, k on both sides of the 8-lane step and past
+  // the stack panel's k-block (577 > 1024 / n for n >= 2).
+  const BackendGuard guard;
+  pc::Prng prng(0xEE7);
+  const std::size_t ns[] = {1, 2, 3, 4, 5, 6, 7, 8, 9, 15, 16, 17, 31, 33};
+  const std::size_t ms[] = {1, 3, 4, 5, 64};
+  const std::size_t ks[] = {1, 7, 8, 9, 577};
+  for (const kern::Backend backend : runnable_backends()) {
+    ASSERT_TRUE(kern::set_backend(backend));
+    for (const int bits : {8, 19, 32, 64}) {
+      pc::RingConfig rc{bits, 4, 32};
+      const std::uint64_t mask = rc.mask();
+      for (const std::size_t n : ns) {
+        for (const std::size_t m : ms) {
+          for (const std::size_t k : ks) {
+            Vec a = random_vec(prng, m * k, rc);
+            // Zero-heavy rows, as padded im2col taps and pruned weights give:
+            // every third tap, and all of row 2.
+            for (std::size_t i = 0; i < m; ++i) {
+              for (std::size_t p = 0; p < k; ++p) {
+                if (i == 2 || p % 3 == 0) a[i * k + p] = 0;
+              }
+            }
+            const Vec b = random_vec(prng, k * n, rc);
+            const Vec want = naive_gemm(a, b, m, k, n, mask);
+            Vec got(m * n);
+            kern::gemm(got.data(), a.data(), b.data(), m, k, n, mask);
+            ASSERT_EQ(got, want) << kern::backend_name(backend) << " gemm " << m << "x" << k
+                                 << "x" << n << " bits=" << bits;
+            const Vec base = random_vec(prng, m * n, rc);
+            Vec acc = base;
+            kern::gemm_acc(acc.data(), a.data(), b.data(), m, k, n);
+            kern::reduce(acc.data(), acc.data(), m * n, mask);
+            for (std::size_t i = 0; i < m * n; ++i) {
+              ASSERT_EQ(acc[i], (base[i] + want[i]) & mask)
+                  << kern::backend_name(backend) << " gemm_acc " << m << "x" << k << "x" << n
+                  << " bits=" << bits << " idx=" << i;
+            }
+          }
         }
       }
     }
