@@ -82,21 +82,18 @@ int main() {
 
   pc::TwoPartyContext ctx;
   proto::SecureNetwork snet(descriptor, *served, node_of_layer, ctx);
-  proto::Workload workload(snet);
+  proto::WorkloadOptions wopts;
+  wopts.kind = proto::WorkloadKind::classify;  // argmax-terminated: logits stay shared
+  proto::Workload workload(snet, wopts);
 
   // Label-only private inference on a few client queries.
   int correct = 0;
   const int queries = 5;
   for (int q = 0; q < queries; ++q) {
     const auto [qx, qy] = dataset.val.slice(q, 1);
-    (void)workload.run({qx});  // executes the network; logits stay shared
-    // Re-run the head as a shared tensor to feed secure_argmax directly.
-    const auto logits_plain = served->forward(qx, false);
-    pc::Prng share_rng(1000 + q);
-    const auto shared_logits = proto::share_tensor(logits_plain, share_rng, ctx.ring());
-    const auto label = proto::secure_argmax(ctx, shared_logits, proto::SecureConfig{});
-    correct += (label[0] == qy[0]);
-    std::printf("query %d -> private label %d (true %d)\n", q, label[0], qy[0]);
+    const int label = workload.run({qx}).labels[0][0];
+    correct += (label == qy[0]);
+    std::printf("query %d -> private label %d (true %d)\n", q, label, qy[0]);
   }
   std::printf("\n%d/%d correct; per-query traffic %.1f KB online\n", correct, queries,
               workload.stats().online_bytes() / 1024.0);

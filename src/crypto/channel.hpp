@@ -40,7 +40,7 @@ struct TrafficStats {
   /// bracket a round increments whenever the sending direction flips (the
   /// asymmetric flows: each OT phase is one round).  Inside a
   /// begin_round/end_round bracket — used by TwoPartyContext::exchange and
-  /// the open buffer's coalesced flush — all messages of the bracket count
+  /// so by the round buffer's coalesced flushes — all messages of the bracket count
   /// as ONE round, because both directions are in flight concurrently.
   /// This matches the analytic model's definition (perf::OpCost::rounds),
   /// so measured and modeled round counts are directly comparable.

@@ -16,19 +16,13 @@ std::vector<std::uint8_t> slice_bytes(const std::vector<std::uint8_t>& v, std::s
   return out;
 }
 
-std::vector<std::uint8_t> pack_bits(const std::vector<std::uint8_t>& bits) {
-  std::vector<std::uint8_t> bytes((bits.size() + 7) / 8, 0);
-  for (std::size_t i = 0; i < bits.size(); ++i) {
-    bytes[i / 8] |= static_cast<std::uint8_t>((bits[i] & 1) << (i % 8));
+/// Runs one staged machine to completion on its own: every flush runs one
+/// phase, and the machine steps when that phase is the one it waits on.
+template <class Machine>
+void run_alone(TwoPartyContext& ctx, Machine& m) {
+  for (RoundPhase ran; (ran = ctx.round_buffer().flush()) != RoundPhase::done;) {
+    if (ran == m.waiting()) m.step(ctx);
   }
-  return bytes;
-}
-
-std::vector<std::uint8_t> unpack_bits(const std::vector<std::uint8_t>& bytes,
-                                      std::size_t n) {
-  std::vector<std::uint8_t> bits(n);
-  for (std::size_t i = 0; i < n; ++i) bits[i] = (bytes[i / 8] >> (i % 8)) & 1;
-  return bits;
 }
 
 }  // namespace
@@ -58,72 +52,8 @@ BitShared not_bits(const BitShared& x) {
 }
 
 // ---------------------------------------------------------------------------
-// Bit-open buffer and staged AND
+// Staged AND
 // ---------------------------------------------------------------------------
-
-void flush_compare_buffers(TwoPartyContext& ctx, CompareWait w) {
-  switch (w) {
-    case CompareWait::ot:
-      ctx.ots().flush();
-      break;
-    case CompareWait::bits:
-      ctx.bit_opens().flush();
-      break;
-    case CompareWait::opens:
-      ctx.opens().flush();
-      break;
-    case CompareWait::done:
-      break;
-  }
-}
-
-void BitOpenBuffer::stage(BitShared x, std::vector<std::uint8_t>* out) {
-  pending_.push_back(Pending{std::move(x), out});
-}
-
-void BitOpenBuffer::flush() {
-  if (pending_.empty()) return;
-  // One symmetric exchange for every pending stage; each stage's bits pack
-  // into their own byte-aligned chunk so merging never changes the
-  // transcript size, only the exchange count.
-  //
-  // Each flush is one merged AND-tree level opening — the protocol event
-  // the and_levels counter tracks.
-  if (obs::Tracer* const t = ctx_.tracer()) t->add(obs::Counter::and_levels, 1);
-  std::vector<std::uint8_t> msg0, msg1;
-  for (const Pending& p : pending_) {
-    const auto p0 = pack_bits(p.x.b0);
-    const auto p1 = pack_bits(p.x.b1);
-    msg0.insert(msg0.end(), p0.begin(), p0.end());
-    msg1.insert(msg1.end(), p1.begin(), p1.end());
-  }
-  std::vector<std::uint8_t> from0, from1;
-  ctx_.exchange([&] { ctx_.chan(0).send_bytes(msg0); },
-                [&] { ctx_.chan(1).send_bytes(msg1); },
-                [&] { from1 = ctx_.chan(0).recv_bytes(); },
-                [&] { from0 = ctx_.chan(1).recv_bytes(); });
-  // Reconstruct from the local share and the peer's received packed bits.
-  // In an in-process context both closures ran, so either pairing works and
-  // we keep the historical (b0, from1) one; a remote context only has its
-  // own half live.
-  const bool local_is_1 = ctx_.local_party() == 1;
-  const std::vector<std::uint8_t>& peer_msg = local_is_1 ? from0 : from1;
-  if (peer_msg.size() != msg0.size()) {
-    throw std::logic_error("BitOpenBuffer::flush: transcript size mismatch");
-  }
-  std::size_t byte_off = 0;
-  for (const Pending& p : pending_) {
-    const std::size_t n = p.x.size();
-    const std::vector<std::uint8_t> peer =
-        unpack_bits(slice_bytes(peer_msg, byte_off, byte_off + (n + 7) / 8), n);
-    const std::vector<std::uint8_t>& own = local_is_1 ? p.x.b1 : p.x.b0;
-    std::vector<std::uint8_t>& out = *p.out;
-    out.resize(n);
-    for (std::size_t j = 0; j < n; ++j) out[j] = own[j] ^ peer[j];
-    byte_off += (n + 7) / 8;
-  }
-  pending_.clear();
-}
 
 void AndRound::stage(TwoPartyContext& ctx, const BitShared& x, const BitShared& y,
                      BitTriple t) {
@@ -143,7 +73,7 @@ void AndRound::stage(TwoPartyContext& ctx, const BitShared& x, const BitShared& 
     de.b1[i] = x.b1[i] ^ t_.a1[i];
     de.b1[n + i] = y.b1[i] ^ t_.b1[i];
   }
-  ctx.bit_opens().stage(std::move(de), &de_);
+  ctx.round_buffer().stage_bits(std::move(de), &de_);
 }
 
 BitShared AndRound::finish() {
@@ -165,7 +95,7 @@ BitShared and_bits(TwoPartyContext& ctx, const BitShared& x, const BitShared& y)
   if (x.size() != y.size()) throw std::invalid_argument("and_bits: size mismatch");
   AndRound r;
   r.stage(ctx, x, y, ctx.triples().bit_triple(x.size()));
-  ctx.bit_opens().flush();
+  ctx.round_buffer().flush();
   return r.finish();
 }
 
@@ -241,8 +171,9 @@ void StagedMillionaire::begin(TwoPartyContext& ctx, const std::vector<std::uint6
       choices[idx] = a_dig;
     }
   }
-  ctx.ots().stage(/*sender=*/1, std::move(tables), std::move(choices), &leaf_, mode);
-  wait_ = CompareWait::ot;
+  ctx.round_buffer().stage_ot(/*sender=*/1, std::move(tables), std::move(choices), &leaf_,
+                              mode);
+  wait_ = RoundPhase::ot;
 }
 
 void StagedMillionaire::stage_level(TwoPartyContext& ctx) {
@@ -269,12 +200,12 @@ void StagedMillionaire::stage_level(TwoPartyContext& ctx) {
     rhs.b1.insert(rhs.b1.end(), eq_lo.b1.begin(), eq_lo.b1.end());
   }
   and_.stage(ctx, lhs, rhs, std::move(mat_.levels[level_]));
-  wait_ = CompareWait::bits;
+  wait_ = RoundPhase::bits;
 }
 
 void StagedMillionaire::step(TwoPartyContext& ctx) {
   switch (wait_) {
-    case CompareWait::ot: {
+    case RoundPhase::ot: {
       // Per-digit shared (gt, eq) vectors, index 0 = least significant.
       gts_.assign(static_cast<std::size_t>(digits_), BitShared{});
       eqs_.assign(static_cast<std::size_t>(digits_), BitShared{});
@@ -294,11 +225,11 @@ void StagedMillionaire::step(TwoPartyContext& ctx) {
       if (gts_.size() > 1) {
         stage_level(ctx);
       } else {
-        wait_ = CompareWait::done;
+        wait_ = RoundPhase::done;
       }
       return;
     }
-    case CompareWait::bits: {
+    case RoundPhase::bits: {
       const BitShared prod = and_.finish();
       const std::size_t pairs = gts_.size() / 2;
       std::vector<BitShared> next_gt, next_eq;
@@ -323,12 +254,12 @@ void StagedMillionaire::step(TwoPartyContext& ctx) {
       if (gts_.size() > 1) {
         stage_level(ctx);
       } else {
-        wait_ = CompareWait::done;
+        wait_ = RoundPhase::done;
       }
       return;
     }
-    case CompareWait::opens:
-    case CompareWait::done:
+    case RoundPhase::opens:
+    case RoundPhase::done:
       throw std::logic_error("StagedMillionaire::step: nothing to resume");
   }
 }
@@ -338,10 +269,7 @@ BitShared millionaire_gt(TwoPartyContext& ctx, const std::vector<std::uint64_t>&
   if (a.size() != b.size()) throw std::invalid_argument("millionaire_gt: size mismatch");
   StagedMillionaire m;
   m.begin(ctx, a, b, nbits, mode, draw_millionaire_material(ctx, a.size(), nbits));
-  while (m.waiting() != CompareWait::done) {
-    flush_compare_buffers(ctx, m.waiting());
-    m.step(ctx);
-  }
+  run_alone(ctx, m);
   return std::move(m.result());
 }
 
@@ -371,11 +299,11 @@ void StagedDrelu::begin(TwoPartyContext& ctx, const Shared& x, OtMode mode,
   mill_.begin(ctx, a, b, lo_bits, mode, std::move(material));
 }
 
-CompareWait StagedDrelu::waiting() const noexcept { return mill_.waiting(); }
+RoundPhase StagedDrelu::waiting() const noexcept { return mill_.waiting(); }
 
 void StagedDrelu::step(TwoPartyContext& ctx) {
   mill_.step(ctx);
-  if (mill_.waiting() == CompareWait::done && !folded_) {
+  if (mill_.waiting() == RoundPhase::done && !folded_) {
     // msb(x) = msb(x0) ^ msb(x1) ^ carry; DReLU = NOT msb — each party
     // folds its own top bit, party 0 flips for the negation.
     BitShared& carry = mill_.result();
@@ -387,37 +315,45 @@ void StagedDrelu::step(TwoPartyContext& ctx) {
   }
 }
 
-DreluMuxMaterial draw_drelu_mux_material(TwoPartyContext& ctx, std::size_t n) {
+DreluMuxMaterial draw_drelu_mux_material(TwoPartyContext& ctx, std::size_t n,
+                                         bool with_payload) {
   DreluMuxMaterial mat;
   mat.mill = draw_drelu_material(ctx, n);
   mat.b2a = ctx.triples().elem_triple(n);
   mat.mux = ctx.triples().elem_triple(n);
+  if (with_payload) mat.payload_mux = ctx.triples().elem_triple(n);
   return mat;
 }
 
 void StagedDreluMux::begin(TwoPartyContext& ctx, Shared v, OtMode mode,
-                           DreluMuxMaterial material) {
+                           DreluMuxMaterial material, const Shared* payload) {
   v_ = std::move(v);
   b2a_t_ = std::move(material.b2a);
   mux_t_ = std::move(material.mux);
+  has_payload_ = payload != nullptr;
+  if (has_payload_) {
+    payload_ = *payload;
+    payload_t_ = std::move(material.payload_mux);
+  }
   b2a_ = B2aRound{};
   mux_mul_ = MulRound{};
+  payload_mul_ = MulRound{};
   drelu_ = StagedDrelu{};
   drelu_.begin(ctx, v_, mode, std::move(material.mill));
   phase_ = Phase::drelu;
 }
 
-CompareWait StagedDreluMux::waiting() const noexcept {
+RoundPhase StagedDreluMux::waiting() const noexcept {
   switch (phase_) {
     case Phase::drelu:
       return drelu_.waiting();
     case Phase::b2a:
     case Phase::mux:
-      return CompareWait::opens;
+      return RoundPhase::opens;
     case Phase::done:
-      return CompareWait::done;
+      return RoundPhase::done;
   }
-  return CompareWait::done;
+  return RoundPhase::done;
 }
 
 void StagedDreluMux::step(TwoPartyContext& ctx) {
@@ -425,20 +361,23 @@ void StagedDreluMux::step(TwoPartyContext& ctx) {
   switch (phase_) {
     case Phase::drelu: {
       drelu_.step(ctx);
-      if (drelu_.waiting() != CompareWait::done) return;
+      if (drelu_.waiting() != RoundPhase::done) return;
       b2a_.stage(ctx, drelu_.result(), std::move(b2a_t_));
       phase_ = Phase::b2a;
       return;
     }
     case Phase::b2a: {
       const Shared bit = b2a_.finish(rc);
-      // Mux: out = v ⊙ bit (same operand order as crypto::mux).
+      // Mux: out = v ⊙ bit (same operand order as crypto::mux); a payload
+      // rides the same flush.
       mux_mul_.stage(ctx, v_, bit, std::move(mux_t_));
+      if (has_payload_) payload_mul_.stage(ctx, std::move(payload_), bit, std::move(payload_t_));
       phase_ = Phase::mux;
       return;
     }
     case Phase::mux:
       out_ = mux_mul_.finish(rc);
+      if (has_payload_) payload_out_ = payload_mul_.finish(rc);
       phase_ = Phase::done;
       return;
     case Phase::done:
@@ -448,17 +387,14 @@ void StagedDreluMux::step(TwoPartyContext& ctx) {
 
 BitShared drelu(TwoPartyContext& ctx, const Shared& x, OtMode mode) {
   // One millionaire code path: the free function is the staged phase
-  // machine run as a one-instance group (begin + flush-whatever-it-waits-on
-  // + step, exactly what the IR executor does for a grouped instance).
-  // The material draw order — leaf masks, then one bit triple per AND
-  // level — matches the historical blocking protocol's, so the dealer
-  // request stream is unchanged.
+  // machine run as a one-instance group (begin, then flush + step, exactly
+  // what the IR executor does for a grouped instance).  The material draw
+  // order — leaf masks, then one bit triple per AND level — matches the
+  // historical blocking protocol's, so the dealer request stream is
+  // unchanged.
   StagedDrelu d;
   d.begin(ctx, x, mode, draw_drelu_material(ctx, x.size()));
-  while (d.waiting() != CompareWait::done) {
-    flush_compare_buffers(ctx, d.waiting());
-    d.step(ctx);
-  }
+  run_alone(ctx, d);
   return std::move(d.result());
 }
 
@@ -491,7 +427,7 @@ Shared B2aRound::finish(const RingConfig& rc) {
 Shared b2a(TwoPartyContext& ctx, const BitShared& v) {
   B2aRound r;
   r.stage(ctx, v, ctx.triples().elem_triple(v.size()));
-  ctx.opens().flush();
+  ctx.round_buffer().flush();
   return r.finish(ctx.ring());
 }
 
@@ -502,10 +438,7 @@ Shared mux(TwoPartyContext& ctx, const BitShared& sel, const Shared& x) {
 Shared relu(TwoPartyContext& ctx, const Shared& x, OtMode mode) {
   StagedDreluMux m;
   m.begin(ctx, x, mode, draw_drelu_mux_material(ctx, x.size()));
-  while (m.waiting() != CompareWait::done) {
-    flush_compare_buffers(ctx, m.waiting());
-    m.step(ctx);
-  }
+  run_alone(ctx, m);
   return std::move(m.result());
 }
 
@@ -514,10 +447,7 @@ Shared max_elem(TwoPartyContext& ctx, const Shared& a, const Shared& b, OtMode m
   const Shared diff = sub(a, b, rc);
   StagedDreluMux m;
   m.begin(ctx, diff, mode, draw_drelu_mux_material(ctx, diff.size()));
-  while (m.waiting() != CompareWait::done) {
-    flush_compare_buffers(ctx, m.waiting());
-    m.step(ctx);
-  }
+  run_alone(ctx, m);
   return add(b, m.result(), rc);
 }
 

@@ -19,14 +19,6 @@
 
 namespace pasnet::crypto {
 
-/// XOR-shared bit vector (one byte per bit in memory; packed on the wire).
-struct BitShared {
-  std::vector<std::uint8_t> b0;
-  std::vector<std::uint8_t> b1;
-
-  [[nodiscard]] std::size_t size() const noexcept { return b0.size(); }
-};
-
 /// Reconstruct XOR-shared bits (local; for tests and final outputs).
 [[nodiscard]] std::vector<std::uint8_t> reconstruct_bits(const BitShared& v);
 
@@ -42,55 +34,24 @@ struct BitShared {
 
 // --- Staged (resumable) comparison phases ----------------------------------
 //
-// The blocking comparison stack (millionaire + AND tree + B2A + mux) is
-// built from resumable phase machines so the IR executor can advance every
-// independent comparison instance of a round group in lockstep: one shared
+// The comparison stack (millionaire + AND tree + B2A + mux) is built from
+// resumable phase machines so the IR executor can advance every independent
+// comparison instance of a round group in lockstep: one shared
 // (1,4)-OT leaf round, one shared exchange per AND-tree level, one shared
-// opening for the B2A and mux multiplications.  Each machine draws ALL of
-// its correlated randomness up front at begin() — in the exact order the
-// historical blocking protocol consumed it — so the dealer/TripleSource
-// request stream stays program-ordered (and store-backed replay stays
-// bit-identical) no matter how phases interleave across instances.
-
-/// Which per-context buffer a staged comparison needs flushed before its
-/// next step(): the OT buffer, the bit-open buffer, the ring OpenBuffer —
-/// or nothing (the result is ready).
-enum class CompareWait : std::uint8_t { ot, bits, opens, done };
-
-/// Flushes the context buffer `w` names (no-op for done).  The standalone
-/// drivers (millionaire_gt, drelu, relu, ...) use this to run a staged
-/// machine to completion on their own.
-void flush_compare_buffers(TwoPartyContext& ctx, CompareWait w);
-
-/// Per-context staging area for joint XOR-share openings — the Z2 analog
-/// of OpenBuffer.  Stages wait until flush(), which opens everything
-/// pending in ONE symmetric exchange.  Each stage's bits are packed to a
-/// byte boundary separately, so the on-wire bytes are identical to
-/// separate opens.
-class BitOpenBuffer {
- public:
-  explicit BitOpenBuffer(TwoPartyContext& ctx) : ctx_(ctx) {}
-  BitOpenBuffer(const BitOpenBuffer&) = delete;
-  BitOpenBuffer& operator=(const BitOpenBuffer&) = delete;
-
-  /// Stages x for opening; the reconstructed public bits land in *out.
-  void stage(BitShared x, std::vector<std::uint8_t>* out);
-  void flush();
-  void discard() noexcept { pending_.clear(); }
-  [[nodiscard]] bool has_pending() const noexcept { return !pending_.empty(); }
-
- private:
-  struct Pending {
-    BitShared x;
-    std::vector<std::uint8_t>* out;
-  };
-  TwoPartyContext& ctx_;
-  std::vector<Pending> pending_;
-};
+// opening for the B2A and mux multiplications.  Each machine stages its
+// next exchange on the context's RoundBuffer, and waiting() names the
+// RoundPhase whose flush it needs before its next step().  Each machine
+// draws ALL of its correlated randomness up front at begin() — in the
+// exact order the historical blocking protocol consumed it — so the
+// dealer/TripleSource request stream stays program-ordered (and
+// store-backed replay stays bit-identical) no matter how phases interleave
+// across instances.  The standalone drivers (millionaire_gt, drelu, relu,
+// max_elem) run one machine alone: flush, step it if the flush ran its
+// phase, repeat until the buffer is empty.
 
 /// Staged Beaver AND over Z2: stage() defers the (d, e) opening onto the
-/// context's bit-open buffer, finish() recombines once the bits are
-/// public.  and_bits() is stage + flush + finish.
+/// context's round buffer, finish() recombines once the bits are public.
+/// and_bits() is stage + flush + finish.
 class AndRound {
  public:
   /// `t` must be a bit triple of x's size (pre-drawn by the caller so the
@@ -105,10 +66,9 @@ class AndRound {
 
 /// Staged B2A conversion: b = v0 + v1 - 2·v0·v1 over trivial ring
 /// sharings of the two parties' XOR-share bits (one Beaver multiplication
-/// round).  The single implementation behind crypto::b2a, the staged
-/// comparison phases and secure_argmax — the formula and its draw order
-/// must not fork, or the dealer request stream diverges from
-/// ir::derive_plan.
+/// round).  The single implementation behind crypto::b2a and the staged
+/// comparison phases — the formula and its draw order must not fork, or
+/// the dealer request stream diverges from ir::derive_plan.
 class B2aRound {
  public:
   /// `t` must be an elem triple of v's size (pre-drawn by the caller).
@@ -134,14 +94,14 @@ struct MillionaireMaterial {
                                                             std::size_t n, int nbits);
 
 /// Resumable millionaires protocol: begin() stages the per-digit (1,4)-OT
-/// leaf batch on ctx.ots(); each step() after a flush consumes the round's
-/// results and stages the next AND-tree level on ctx.bit_opens().
+/// leaf batch; each step() after a flush consumes the round's results and
+/// stages the next AND-tree level.
 class StagedMillionaire {
  public:
   void begin(TwoPartyContext& ctx, const std::vector<std::uint64_t>& a,
              const std::vector<std::uint64_t>& b, int nbits, OtMode mode,
              MillionaireMaterial material);
-  [[nodiscard]] CompareWait waiting() const noexcept { return wait_; }
+  [[nodiscard]] RoundPhase waiting() const noexcept { return wait_; }
   void step(TwoPartyContext& ctx);
   /// XOR shares of [a > b]; valid once waiting() == done.
   [[nodiscard]] BitShared& result() noexcept { return gts_.front(); }
@@ -155,7 +115,7 @@ class StagedMillionaire {
   std::vector<std::uint8_t> leaf_;
   std::vector<BitShared> gts_, eqs_;
   AndRound and_;
-  CompareWait wait_ = CompareWait::done;
+  RoundPhase wait_ = RoundPhase::done;
 };
 
 /// Resumable DReLU: the millionaire carry over the low ring bits plus the
@@ -166,7 +126,7 @@ class StagedDrelu {
   /// ring bits - 1) — use draw_drelu_material().
   void begin(TwoPartyContext& ctx, const Shared& x, OtMode mode,
              MillionaireMaterial material);
-  [[nodiscard]] CompareWait waiting() const noexcept;
+  [[nodiscard]] RoundPhase waiting() const noexcept;
   void step(TwoPartyContext& ctx);
   [[nodiscard]] BitShared& result() noexcept { return mill_.result(); }
 
@@ -179,35 +139,44 @@ class StagedDrelu {
 [[nodiscard]] MillionaireMaterial draw_drelu_material(TwoPartyContext& ctx, std::size_t n);
 
 /// Pre-drawn randomness for one gated select v·DReLU(v): the DReLU
-/// material plus the B2A and mux Beaver triples, in protocol order.
+/// material plus the B2A and mux Beaver triples, in protocol order, and —
+/// for a muxed payload (argmax indices) — the payload's mux triple, drawn
+/// right after the value's.
 struct DreluMuxMaterial {
   MillionaireMaterial mill;
   ElemTriple b2a;
   ElemTriple mux;
+  ElemTriple payload_mux;  ///< empty unless drawn with_payload
 };
 
-[[nodiscard]] DreluMuxMaterial draw_drelu_mux_material(TwoPartyContext& ctx, std::size_t n);
+[[nodiscard]] DreluMuxMaterial draw_drelu_mux_material(TwoPartyContext& ctx, std::size_t n,
+                                                       bool with_payload = false);
 
 /// Resumable v ⊙ DReLU(v) — the shared core of 2PC ReLU (v = x) and secure
 /// max (v = a - b; max = b + result).  Phases: DReLU (OT + AND levels),
 /// then the B2A multiplication, then the mux multiplication, each staged
-/// on the context's buffers.
+/// on the context's round buffer.  Given a payload (material drawn
+/// with_payload), the mux phase also computes payload ⊙ DReLU(v), opened
+/// in the same flush as the value's.
 class StagedDreluMux {
  public:
-  void begin(TwoPartyContext& ctx, Shared v, OtMode mode, DreluMuxMaterial material);
-  [[nodiscard]] CompareWait waiting() const noexcept;
+  void begin(TwoPartyContext& ctx, Shared v, OtMode mode, DreluMuxMaterial material,
+             const Shared* payload = nullptr);
+  [[nodiscard]] RoundPhase waiting() const noexcept;
   void step(TwoPartyContext& ctx);
   [[nodiscard]] Shared& result() noexcept { return out_; }
+  [[nodiscard]] Shared& payload_result() noexcept { return payload_out_; }
 
  private:
   enum class Phase : std::uint8_t { drelu, b2a, mux, done };
   Phase phase_ = Phase::done;
+  bool has_payload_ = false;
   StagedDrelu drelu_;
   B2aRound b2a_;
-  MulRound mux_mul_;
-  ElemTriple b2a_t_, mux_t_;
-  Shared v_;
-  Shared out_;
+  MulRound mux_mul_, payload_mul_;
+  ElemTriple b2a_t_, mux_t_, payload_t_;
+  Shared v_, payload_;
+  Shared out_, payload_out_;
 };
 
 /// Millionaires protocol: party 0 holds `a`, party 1 holds `b`, both lists

@@ -267,41 +267,4 @@ std::vector<std::uint8_t> ot_1of4(TwoPartyContext& ctx, int sender,
                                    : ot_ideal(ctx, sender, tables, choices);
 }
 
-void OtBuffer::stage(int sender, std::vector<std::array<std::uint8_t, kOtFanIn>> tables,
-                     std::vector<std::uint8_t> choices, std::vector<std::uint8_t>* out,
-                     OtMode mode) {
-  pending_.push_back(Pending{sender, mode, std::move(tables), std::move(choices), out});
-}
-
-void OtBuffer::flush() {
-  if (pending_.empty()) return;
-  // Merge runs of stages that share (sender, mode) into one OT batch each.
-  // The blinded keys and masked tables of every merged request ride in the
-  // same two messages, so the run pays the leaf round once.
-  std::size_t lo = 0;
-  while (lo < pending_.size()) {
-    std::size_t hi = lo + 1;
-    while (hi < pending_.size() && pending_[hi].sender == pending_[lo].sender &&
-           pending_[hi].mode == pending_[lo].mode) {
-      ++hi;
-    }
-    std::vector<std::array<std::uint8_t, kOtFanIn>> tables;
-    std::vector<std::uint8_t> choices;
-    for (std::size_t i = lo; i < hi; ++i) {
-      tables.insert(tables.end(), pending_[i].tables.begin(), pending_[i].tables.end());
-      choices.insert(choices.end(), pending_[i].choices.begin(), pending_[i].choices.end());
-    }
-    const std::vector<std::uint8_t> merged =
-        ot_1of4(ctx_, pending_[lo].sender, tables, choices, pending_[lo].mode);
-    std::size_t off = 0;
-    for (std::size_t i = lo; i < hi; ++i) {
-      pending_[i].out->assign(merged.begin() + static_cast<long>(off),
-                              merged.begin() + static_cast<long>(off + pending_[i].choices.size()));
-      off += pending_[i].choices.size();
-    }
-    lo = hi;
-  }
-  pending_.clear();
-}
-
 }  // namespace pasnet::crypto

@@ -27,8 +27,10 @@
 //    the allow_ideal_ot escape hatch (see RemoteContextOptions).
 //
 // Both modes produce identical protocol results and identical byte counts.
-// The OtMode selector itself lives in crypto/party.hpp so the context can
-// enforce the remote refusal at construction time.
+// The OtMode selector and kOtFanIn live in crypto/party.hpp, so the context
+// can enforce the remote refusal at construction time and its RoundBuffer
+// can stage OT batches: comparison instances stage their leaf batches there
+// and one flush merges them into one two-message dance.
 
 #include <array>
 #include <cstddef>
@@ -39,9 +41,6 @@
 #include "crypto/prng.hpp"
 
 namespace pasnet::crypto {
-
-/// Number of OT table entries (2-bit parts -> 1-of-4).
-inline constexpr int kOtFanIn = 4;
 
 /// Batched 1-of-4 OT.
 ///
@@ -54,43 +53,6 @@ inline constexpr int kOtFanIn = 4;
     TwoPartyContext& ctx, int sender,
     const std::vector<std::array<std::uint8_t, kOtFanIn>>& tables,
     const std::vector<std::uint8_t>& choices, OtMode mode);
-
-/// Per-context staging area for (1,4)-OT batches — the OT analog of
-/// OpenBuffer.  Stages wait until flush(), which merges every pending
-/// request with the same (sender, mode) into ONE two-message OT batch, so
-/// the comparison instances of a round group share the leaf round.
-/// Receiver outputs are scattered back to each stage's output vector.
-class OtBuffer {
- public:
-  explicit OtBuffer(TwoPartyContext& ctx) : ctx_(ctx) {}
-  OtBuffer(const OtBuffer&) = delete;
-  OtBuffer& operator=(const OtBuffer&) = delete;
-
-  /// Stages one batched OT; the next flush() writes the per-instance
-  /// outputs to `*out`.
-  void stage(int sender, std::vector<std::array<std::uint8_t, kOtFanIn>> tables,
-             std::vector<std::uint8_t> choices, std::vector<std::uint8_t>* out,
-             OtMode mode);
-
-  /// Runs every pending stage: consecutive stages sharing (sender, mode)
-  /// merge into one OT batch.  No-op when nothing is pending.
-  void flush();
-
-  /// Drops every pending stage (error-path cleanup; see OpenBuffer).
-  void discard() noexcept { pending_.clear(); }
-  [[nodiscard]] bool has_pending() const noexcept { return !pending_.empty(); }
-
- private:
-  struct Pending {
-    int sender;
-    OtMode mode;
-    std::vector<std::array<std::uint8_t, kOtFanIn>> tables;
-    std::vector<std::uint8_t> choices;
-    std::vector<std::uint8_t>* out;
-  };
-  TwoPartyContext& ctx_;
-  std::vector<Pending> pending_;
-};
 
 /// 61-bit Mersenne-prime group helpers shared by both Bellare–Micali OTs
 /// (the dh_masked (1,4)-OT here and the OT-extension base OTs).

@@ -1,6 +1,5 @@
 #include "crypto/party.hpp"
 
-#include "crypto/compare.hpp"
 #include "crypto/ot.hpp"
 #include "crypto/ring_kernels.hpp"
 
@@ -28,9 +27,7 @@ TwoPartyContext::TwoPartyContext(RingConfig rc, std::uint64_t seed,
                                  std::chrono::microseconds round_delay)
     : rc_(rc), round_delay_(round_delay), dealer_(rc, splitmix64(seed)),
       dealer_source_(dealer_, rc), prng0_(splitmix64(seed ^ 1)), prng1_(splitmix64(seed ^ 2)),
-      ot_prng0_(splitmix64(seed ^ 3)), ot_prng1_(splitmix64(seed ^ 4)),
-      opens_(*this), ots_(std::make_unique<OtBuffer>(*this)),
-      bit_opens_(std::make_unique<BitOpenBuffer>(*this)) {
+      ot_prng0_(splitmix64(seed ^ 3)), ot_prng1_(splitmix64(seed ^ 4)), round_buffer_(*this) {
   ChannelOptions options;
   options.round_delay = round_delay;
   auto [c0, c1] = Channel::make_pair(options);
@@ -104,8 +101,8 @@ TwoPartyContext::TwoPartyContext(RingConfig rc, std::uint64_t seed, int local_pa
       round_delay_(0), dealer_(rc, splitmix64(seed)), dealer_source_(dealer_, rc),
       prng0_(splitmix64(seed ^ 1)), prng1_(splitmix64(seed ^ 2)),
       ot_prng0_(splitmix64(seed ^ 3)), ot_prng1_(splitmix64(seed ^ 4)),
-      role_prng_(entropy_seed()), allow_ideal_ot_(options.allow_ideal_ot), opens_(*this),
-      ots_(std::make_unique<OtBuffer>(*this)), bit_opens_(std::make_unique<BitOpenBuffer>(*this)) {
+      role_prng_(entropy_seed()), allow_ideal_ot_(options.allow_ideal_ot),
+      round_buffer_(*this) {
   if (local_party != 0 && local_party != 1) {
     throw std::invalid_argument("TwoPartyContext: local_party must be 0 or 1");
   }
@@ -121,9 +118,6 @@ TwoPartyContext::TwoPartyContext(RingConfig rc, std::uint64_t seed, int local_pa
   // shared streams coincide; role-secret draws come from role_prng_,
   // which only this process holds.
 }
-
-// Out of line: OtBuffer and BitOpenBuffer are incomplete in the header.
-TwoPartyContext::~TwoPartyContext() = default;
 
 void TwoPartyContext::exchange(const std::function<void()>& send0,
                                const std::function<void()>& send1,
@@ -159,43 +153,134 @@ void TwoPartyContext::exchange(const std::function<void()>& send0,
 }
 
 // ---------------------------------------------------------------------------
-// Open buffer
+// Round buffer
 // ---------------------------------------------------------------------------
 
-void OpenBuffer::stage(Shared x, RingVec* out) {
-  pending_.push_back(Pending{std::move(x), out});
+namespace {
+
+std::vector<std::uint8_t> pack_bits(const std::vector<std::uint8_t>& bits) {
+  std::vector<std::uint8_t> bytes((bits.size() + 7) / 8, 0);
+  for (std::size_t i = 0; i < bits.size(); ++i) {
+    bytes[i / 8] |= static_cast<std::uint8_t>((bits[i] & 1) << (i % 8));
+  }
+  return bytes;
 }
 
-void OpenBuffer::flush() {
-  if (pending_.empty()) return;
-  if (obs::Tracer* const t = ctx_.tracer()) {
-    t->add(obs::Counter::openings, pending_.size());
-    t->add(obs::Counter::open_flushes, 1);
+}  // namespace
+
+RoundPhase RoundBuffer::flush() {
+  if (!ots_.empty()) {
+    flush_ots();
+    return RoundPhase::ot;
   }
-  if (pending_.size() == 1) {
-    *pending_[0].out = open(ctx_, pending_[0].x);
-    pending_.clear();
-    return;
+  if (!bits_.empty()) {
+    flush_bits();
+    return RoundPhase::bits;
+  }
+  if (!opens_.empty()) {
+    flush_opens();
+    return RoundPhase::opens;
+  }
+  return RoundPhase::done;
+}
+
+void RoundBuffer::flush_ots() {
+  // Merge runs of stages that share (sender, mode) into one OT batch each.
+  // The blinded keys and masked tables of every merged request ride in the
+  // same two messages, so the run pays the leaf round once.
+  std::size_t lo = 0;
+  while (lo < ots_.size()) {
+    std::size_t hi = lo + 1;
+    while (hi < ots_.size() && ots_[hi].sender == ots_[lo].sender &&
+           ots_[hi].mode == ots_[lo].mode) {
+      ++hi;
+    }
+    std::vector<std::array<std::uint8_t, kOtFanIn>> tables;
+    std::vector<std::uint8_t> choices;
+    for (std::size_t i = lo; i < hi; ++i) {
+      tables.insert(tables.end(), ots_[i].tables.begin(), ots_[i].tables.end());
+      choices.insert(choices.end(), ots_[i].choices.begin(), ots_[i].choices.end());
+    }
+    const std::vector<std::uint8_t> merged =
+        ot_1of4(ctx_, ots_[lo].sender, tables, choices, ots_[lo].mode);
+    std::size_t off = 0;
+    for (std::size_t i = lo; i < hi; ++i) {
+      ots_[i].out->assign(merged.begin() + static_cast<long>(off),
+                          merged.begin() + static_cast<long>(off + ots_[i].choices.size()));
+      off += ots_[i].choices.size();
+    }
+    lo = hi;
+  }
+  ots_.clear();
+}
+
+void RoundBuffer::flush_bits() {
+  // One symmetric exchange for every pending stage; each stage's bits pack
+  // into their own byte-aligned chunk so merging never changes the
+  // transcript size, only the exchange count.
+  //
+  // Each flush is one merged AND-tree level opening — the protocol event
+  // the and_levels counter tracks.
+  if (obs::Tracer* const t = ctx_.tracer()) t->add(obs::Counter::and_levels, 1);
+  std::vector<std::uint8_t> msg0, msg1;
+  for (const PendingBits& p : bits_) {
+    const auto p0 = pack_bits(p.x.b0);
+    const auto p1 = pack_bits(p.x.b1);
+    msg0.insert(msg0.end(), p0.begin(), p0.end());
+    msg1.insert(msg1.end(), p1.begin(), p1.end());
+  }
+  std::vector<std::uint8_t> from0, from1;
+  ctx_.exchange([&] { ctx_.chan(0).send_bytes(msg0); },
+                [&] { ctx_.chan(1).send_bytes(msg1); },
+                [&] { from1 = ctx_.chan(0).recv_bytes(); },
+                [&] { from0 = ctx_.chan(1).recv_bytes(); });
+  // Reconstruct from the local share and the peer's received packed bits.
+  // In an in-process context both closures ran, so either pairing works and
+  // we keep the historical (b0, from1) one; a remote context only has its
+  // own half live.
+  const bool local_is_1 = ctx_.local_party() == 1;
+  const std::vector<std::uint8_t>& peer_msg = local_is_1 ? from0 : from1;
+  if (peer_msg.size() != msg0.size()) {
+    throw std::logic_error("RoundBuffer::flush: bit-opening transcript size mismatch");
+  }
+  std::size_t byte_off = 0;
+  for (const PendingBits& p : bits_) {
+    const std::size_t n = p.x.size();
+    const std::vector<std::uint8_t>& own = local_is_1 ? p.x.b1 : p.x.b0;
+    std::vector<std::uint8_t>& out = *p.out;
+    out.resize(n);
+    for (std::size_t j = 0; j < n; ++j) {
+      out[j] = own[j] ^ ((peer_msg[byte_off + j / 8] >> (j % 8)) & 1);
+    }
+    byte_off += (n + 7) / 8;
+  }
+  bits_.clear();
+}
+
+void RoundBuffer::flush_opens() {
+  if (obs::Tracer* const t = ctx_.tracer()) {
+    t->add(obs::Counter::openings, opens_.size());
+    t->add(obs::Counter::open_flushes, 1);
   }
   // Concatenate every staged vector and open the lot in one exchange; the
   // bytes on the wire are identical to separate opens, the rounds are not.
   std::size_t total = 0;
-  for (const Pending& p : pending_) total += p.x.size();
+  for (const PendingOpen& p : opens_) total += p.x.size();
   Shared all;
   all.s0.reserve(total);
   all.s1.reserve(total);
-  for (const Pending& p : pending_) {
+  for (const PendingOpen& p : opens_) {
     all.s0.insert(all.s0.end(), p.x.s0.begin(), p.x.s0.end());
     all.s1.insert(all.s1.end(), p.x.s1.begin(), p.x.s1.end());
   }
   const RingVec opened = open(ctx_, all);
   std::size_t off = 0;
-  for (const Pending& p : pending_) {
+  for (const PendingOpen& p : opens_) {
     p.out->assign(opened.begin() + static_cast<long>(off),
                   opened.begin() + static_cast<long>(off + p.x.size()));
     off += p.x.size();
   }
-  pending_.clear();
+  opens_.clear();
 }
 
 // ---------------------------------------------------------------------------
@@ -231,8 +316,8 @@ void MulRound::stage(TwoPartyContext& ctx, Shared x, Shared y, ElemTriple t) {
   x_ = std::move(x);
   y_ = std::move(y);
   // E = X - A, F = Y - B; opened jointly.
-  ctx.opens().stage(sub(x_, t_.a, rc), &e_);
-  ctx.opens().stage(sub(y_, t_.b, rc), &f_);
+  ctx.round_buffer().stage_open(sub(x_, t_.a, rc), &e_);
+  ctx.round_buffer().stage_open(sub(y_, t_.b, rc), &f_);
 }
 
 Shared MulRound::finish(const RingConfig& rc) {
@@ -252,7 +337,7 @@ Shared MulRound::finish(const RingConfig& rc) {
 
 void SquareRound::stage(TwoPartyContext& ctx, const Shared& x) {
   p_ = ctx.triples().square_pair(x.size());
-  ctx.opens().stage(sub(x, p_.a, ctx.ring()), &e_);
+  ctx.round_buffer().stage_open(sub(x, p_.a, ctx.ring()), &e_);
 }
 
 Shared SquareRound::finish(const RingConfig& rc) {
@@ -281,8 +366,8 @@ void MatmulRound::stage(TwoPartyContext& ctx, Shared x, Shared y, std::size_t m,
   m_ = m;
   k_ = k;
   n_ = n;
-  ctx.opens().stage(sub(x_, t_.a, rc), &e_);
-  ctx.opens().stage(sub(y_, t_.b, rc), &f_);
+  ctx.round_buffer().stage_open(sub(x_, t_.a, rc), &e_);
+  ctx.round_buffer().stage_open(sub(y_, t_.b, rc), &f_);
 }
 
 Shared MatmulRound::finish(const RingConfig& rc) {
@@ -310,8 +395,8 @@ void BilinearRound::stage(TwoPartyContext& ctx, const Shared& x, const Shared& w
   t_ = ctx.triples().bilinear_triple(spec);
   // E = W - B opens in weight space (offline-able for a static model) and
   // F = X - A opens in *input* space — the paper's COMM_conv term.
-  ctx.opens().stage(sub(weight, t_.b, rc), &e_);
-  ctx.opens().stage(sub(x, t_.a, rc), &f_);
+  ctx.round_buffer().stage_open(sub(weight, t_.b, rc), &e_);
+  ctx.round_buffer().stage_open(sub(x, t_.a, rc), &f_);
 }
 
 Shared BilinearRound::finish(const RingConfig& rc) {
@@ -327,14 +412,14 @@ Shared BilinearRound::finish(const RingConfig& rc) {
 Shared mul_elem(TwoPartyContext& ctx, const Shared& x, const Shared& y) {
   MulRound r;
   r.stage(ctx, x, y);
-  ctx.opens().flush();
+  ctx.round_buffer().flush();
   return r.finish(ctx.ring());
 }
 
 Shared square_elem(TwoPartyContext& ctx, const Shared& x) {
   SquareRound r;
   r.stage(ctx, x);
-  ctx.opens().flush();
+  ctx.round_buffer().flush();
   return r.finish(ctx.ring());
 }
 
@@ -342,7 +427,7 @@ Shared matmul(TwoPartyContext& ctx, const Shared& x, const Shared& y, std::size_
               std::size_t k, std::size_t n) {
   MatmulRound r;
   r.stage(ctx, x, y, m, k, n);
-  ctx.opens().flush();
+  ctx.round_buffer().flush();
   return r.finish(ctx.ring());
 }
 

@@ -14,9 +14,10 @@
 // each with its own context, and a remote context (below) runs each party
 // in its own process over a real transport.
 //
-// Open staging: every joint opening is staged on the context's
-// OpenBuffer and waits there until flush() opens everything pending in ONE
-// symmetric exchange.  The IR executor flushes once per round group, so a
+// Round staging: every exchange — a joint ring opening, a joint XOR-share
+// opening, a (1,4)-OT batch — is staged on the context's RoundBuffer and
+// waits there until a flush() runs its phase for everything pending.  The
+// IR executor flushes once per phase of a round group, so a
 // multiplication's E and F openings — and the openings of every op in the
 // group — share one round.  Staging never reorders dealer or PRNG draws,
 // so how ops are grouped changes the round count, never a share.
@@ -50,10 +51,12 @@
 // which closes the correlated-randomness (triple) side of that gap but
 // not the share-randomness side.  See README "Threat model" and ROADMAP.
 
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <memory>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "crypto/beaver.hpp"
@@ -66,8 +69,6 @@
 namespace pasnet::crypto {
 
 class TwoPartyContext;
-class OtBuffer;        // crypto/ot.hpp — staged (1,4)-OT batches
-class BitOpenBuffer;   // crypto/compare.hpp — staged XOR-share openings
 
 /// OT instantiation selector (crypto/ot.hpp implements both):
 ///  * dh_masked  — Bellare–Micali-style OT over Z_{2^61-1}: a real
@@ -78,6 +79,9 @@ class BitOpenBuffer;   // crypto/compare.hpp — staged XOR-share openings
 ///    the clear, so it is only meaningful when one process plays both
 ///    parties (or in tests that opt in explicitly).
 enum class OtMode { dh_masked, correlated };
+
+/// Number of OT table entries (2-bit parts -> 1-of-4).
+inline constexpr int kOtFanIn = 4;
 
 /// Thrown when an ideal-functionality simulation path (OtMode::correlated)
 /// is requested in a remote two-process context without the explicit
@@ -97,36 +101,87 @@ struct RemoteContextOptions {
   bool allow_ideal_ot = false;
 };
 
-/// Per-context staging area for joint openings (the round scheduler's
-/// "per-round open buffer").  Driven from the context's thread.
-class OpenBuffer {
+/// XOR-shared bit vector (one byte per bit in memory; packed on the wire).
+struct BitShared {
+  std::vector<std::uint8_t> b0;
+  std::vector<std::uint8_t> b1;
+
+  [[nodiscard]] std::size_t size() const noexcept { return b0.size(); }
+};
+
+/// The exchange phases a RoundBuffer flush runs, in flush priority order,
+/// and what a staged comparison waits on next: a (1,4)-OT leaf dance, a
+/// joint XOR-share opening (one AND-tree level), a joint ring opening —
+/// or nothing (done).
+enum class RoundPhase : std::uint8_t { ot, bits, opens, done };
+
+/// Per-context staging area for every exchange of a round group.  Stages
+/// wait, in staging order, until flush() runs ONE phase for all of them.
+/// Driven from the context's thread.
+class RoundBuffer {
  public:
-  explicit OpenBuffer(TwoPartyContext& ctx) : ctx_(ctx) {}
-  OpenBuffer(const OpenBuffer&) = delete;
-  OpenBuffer& operator=(const OpenBuffer&) = delete;
+  explicit RoundBuffer(TwoPartyContext& ctx) : ctx_(ctx) {}
+  RoundBuffer(const RoundBuffer&) = delete;
+  RoundBuffer& operator=(const RoundBuffer&) = delete;
 
-  /// Stages x for opening; the reconstructed public value is written to
-  /// *out by the next flush().  Nothing is sent before then.
-  void stage(Shared x, RingVec* out);
+  /// Stages one batched (1,4)-OT (crypto/ot.hpp); the flush writes the
+  /// receiver's per-instance outputs to *out.
+  void stage_ot(int sender, std::vector<std::array<std::uint8_t, kOtFanIn>> tables,
+                std::vector<std::uint8_t> choices, std::vector<std::uint8_t>* out,
+                OtMode mode) {
+    ots_.push_back(PendingOt{sender, mode, std::move(tables), std::move(choices), out});
+  }
+  /// Stages x for a joint XOR opening; the public bits land in *out.
+  void stage_bits(BitShared x, std::vector<std::uint8_t>* out) {
+    bits_.push_back(PendingBits{std::move(x), out});
+  }
+  /// Stages x for a joint ring opening; the public value lands in *out.
+  void stage_open(Shared x, RingVec* out) { opens_.push_back(PendingOpen{std::move(x), out}); }
 
-  /// Opens everything staged since the last flush in one symmetric
-  /// exchange.  No-op when nothing is pending.
-  void flush();
+  /// Runs one phase and returns it: every pending OT batch if there is
+  /// one (consecutive stages sharing (sender, mode) merge into one
+  /// two-message dance, 2 rounds), else every pending bit opening in one
+  /// exchange, else every pending ring opening in one exchange.  Returns
+  /// done, sending nothing, when nothing is pending.
+  RoundPhase flush();
 
-  /// Drops every pending stage without opening it (error-path cleanup:
-  /// the staged Shared copies are destroyed and the output pointers are
-  /// forgotten, so an unwound protocol step cannot leave the buffer
-  /// pointing into dead stack frames).
-  void discard() noexcept { pending_.clear(); }
-  [[nodiscard]] bool has_pending() const noexcept { return !pending_.empty(); }
+  /// Drops every pending stage without running it (error-path cleanup:
+  /// the staged copies are destroyed and the output pointers forgotten, so
+  /// an unwound protocol step cannot leave the buffer pointing into dead
+  /// stack frames).
+  void discard() noexcept {
+    ots_.clear();
+    bits_.clear();
+    opens_.clear();
+  }
+  [[nodiscard]] bool has_pending() const noexcept {
+    return !ots_.empty() || !bits_.empty() || !opens_.empty();
+  }
 
  private:
-  struct Pending {
+  void flush_ots();
+  void flush_bits();
+  void flush_opens();
+
+  struct PendingOt {
+    int sender;
+    OtMode mode;
+    std::vector<std::array<std::uint8_t, kOtFanIn>> tables;
+    std::vector<std::uint8_t> choices;
+    std::vector<std::uint8_t>* out;
+  };
+  struct PendingBits {
+    BitShared x;
+    std::vector<std::uint8_t>* out;
+  };
+  struct PendingOpen {
     Shared x;
     RingVec* out;
   };
   TwoPartyContext& ctx_;
-  std::vector<Pending> pending_;
+  std::vector<PendingOt> ots_;
+  std::vector<PendingBits> bits_;
+  std::vector<PendingOpen> opens_;
 };
 
 /// Everything the online phase of a 2PC evaluation needs.
@@ -149,7 +204,6 @@ class TwoPartyContext {
   /// allow_ideal_ot escape hatch (see RemoteContextOptions).
   TwoPartyContext(RingConfig rc, std::uint64_t seed, int local_party, Channel& channel,
                   RemoteContextOptions options = {});
-  ~TwoPartyContext();
   TwoPartyContext(const TwoPartyContext&) = delete;
   TwoPartyContext& operator=(const TwoPartyContext&) = delete;
 
@@ -257,17 +311,8 @@ class TwoPartyContext {
     return local_party_ < 0 || local_party_ == party;
   }
 
-  /// The context's open staging buffer (see OpenBuffer).
-  [[nodiscard]] OpenBuffer& opens() noexcept { return opens_; }
-  /// The context's staged-OT buffer (crypto/ot.hpp) — the comparison
-  /// stack's analog of opens(): independent comparison instances stage
-  /// their (1,4)-OT leaf batches here and one flush merges them into one
-  /// two-message round.
-  [[nodiscard]] OtBuffer& ots() noexcept { return *ots_; }
-  /// The context's staged bit-open buffer (crypto/compare.hpp): AND-tree
-  /// levels of independent comparisons open their masked (d, e) bits in
-  /// one shared exchange per level.
-  [[nodiscard]] BitOpenBuffer& bit_opens() noexcept { return *bit_opens_; }
+  /// The context's staging buffer (see RoundBuffer).
+  [[nodiscard]] RoundBuffer& round_buffer() noexcept { return round_buffer_; }
 
   /// One symmetric communication round: both parties send, then both
   /// receive.  In process this runs send0, send1, recv0, recv1 on the
@@ -284,7 +329,7 @@ class TwoPartyContext {
   void reset_stats() { local_chan().reset_stats(); }
 
   /// Attaches a tracer (nullptr detaches): the context records exchange
-  /// round spans and the staged buffers their flush counters, and the
+  /// round spans and the round buffer its flush counters, and the
   /// attachment is forwarded to the metered channel so wire bytes, rounds
   /// and wait time land in the same tracer.  Non-owning; the tracer must
   /// outlive the attachment and is shared with every protocol layer on
@@ -321,9 +366,7 @@ class TwoPartyContext {
   bool allow_ideal_ot_ = false;
   Prng* prng_override0_ = nullptr;  // non-owning; see set_prng_override
   Prng* prng_override1_ = nullptr;
-  OpenBuffer opens_;
-  std::unique_ptr<OtBuffer> ots_;
-  std::unique_ptr<BitOpenBuffer> bit_opens_;
+  RoundBuffer round_buffer_;
   obs::Tracer* tracer_ = nullptr;  // non-owning; see set_tracer
 };
 
@@ -334,10 +377,10 @@ class TwoPartyContext {
 // --- Staged (two-phase) protocol rounds ------------------------------------
 //
 // Each *Round splits one multiplicative protocol into stage() — draw the
-// correlated randomness and stage the masked openings on ctx.opens() — and
-// finish() — recombine once the openings are public.  The one-shot
-// functions below are stage + flush + finish; the IR executor stages
-// several independent rounds and flushes them in one exchange.  Both paths
+// correlated randomness and stage the masked openings on the context's
+// round buffer — and finish() — recombine once the openings are public.
+// The one-shot functions below are stage + flush + finish; the IR executor
+// stages several independent rounds and flushes them in one exchange.  Both paths
 // share the same arithmetic and the same draw order, which is what makes
 // their results bit-identical.
 

@@ -14,19 +14,15 @@ using crypto::RingConfig;
 using crypto::Shared;
 using proto::SecureTensor;
 
-/// Discards every pending stage of the context buffers on scope exit.
-/// An exception mid-round-group leaves stages pending whose output
+/// Discards every pending stage of the context's round buffer on scope
+/// exit.  An exception mid-round-group leaves stages pending whose output
 /// pointers refer to ops this frame owns — dropping them keeps the unwind
 /// from ever writing through dangling pointers when the context is reused.
 /// On a normal return every group has flushed, so this is a no-op.
 class DiscardGuard {
  public:
   explicit DiscardGuard(crypto::TwoPartyContext& ctx) : ctx_(ctx) {}
-  ~DiscardGuard() {
-    ctx_.opens().discard();
-    ctx_.ots().discard();
-    ctx_.bit_opens().discard();
-  }
+  ~DiscardGuard() { ctx_.round_buffer().discard(); }
   DiscardGuard(const DiscardGuard&) = delete;
   DiscardGuard& operator=(const DiscardGuard&) = delete;
 
@@ -115,7 +111,7 @@ BatchExecResult execute_batch(const SecureProgram& p, const CompiledParams& para
   obs::Tracer* const tracer = ctx.tracer();
   const obs::SpanGuard run_span(tracer, "ir", "execute_batch",
                                 static_cast<std::int64_t>(lanes));
-  crypto::OpenBuffer& opens = ctx.opens();
+  crypto::RoundBuffer& buf = ctx.round_buffer();
   DiscardGuard discard_guard(ctx);
   SourceScope source_guard(ctx, !opts.lane_sources.empty());
   PrngScope prng_guard(ctx, !opts.lane_prngs.empty());
@@ -174,44 +170,17 @@ BatchExecResult execute_batch(const SecureProgram& p, const CompiledParams& para
     // structure the scheduler bought.
     const obs::SpanGuard flush_span(tracer, "ir", "flush_group",
                                     static_cast<std::int64_t>(lanes));
-    if (comps.empty()) {
-      opens.flush();
-    } else {
-      // Lockstep phase walk: each iteration flushes every buffer some
-      // comparison waits on (2 rounds for the OT dance, 1 per bit-open or
-      // ring-open exchange), then advances every unfinished comparison one
-      // phase.  Pending single-round openings ride the first open flush.
-      for (;;) {
-        bool want_ot = false, want_bits = false, want_opens = false;
-        for (const auto& c : comps) {
-          switch (c.op->waiting()) {
-            case crypto::CompareWait::ot:
-              want_ot = true;
-              break;
-            case crypto::CompareWait::bits:
-              want_bits = true;
-              break;
-            case crypto::CompareWait::opens:
-              want_opens = true;
-              break;
-            case crypto::CompareWait::done:
-              break;
-          }
-        }
-        if (!want_ot && !want_bits && !want_opens) break;
-        if (want_ot) ctx.ots().flush();
-        if (want_bits) ctx.bit_opens().flush();
-        if (want_opens) opens.flush();
-        for (auto& c : comps) {
-          if (c.op->waiting() != crypto::CompareWait::done) {
-            use_lane(c.lane);
-            c.op->step(ctx);
-          }
+    // Each flush runs one phase — every pending OT batch, else every bit
+    // opening, else every ring opening — and steps the comparisons that
+    // waited on it, until nothing is pending.  Comparisons advance in
+    // lockstep, and the single-round openings ride the first ring flush.
+    for (crypto::RoundPhase ran; (ran = buf.flush()) != crypto::RoundPhase::done;) {
+      for (auto& c : comps) {
+        if (c.op->waiting() == ran) {
+          use_lane(c.lane);
+          c.op->step(ctx);
         }
       }
-      // Single-round stragglers whose group had no open phase to ride
-      // (possible only when every comparison degenerates, e.g. 1x1 pools).
-      opens.flush();
     }
     // Deliver outputs in (op, lane) order — both instance lists were
     // staged op-major, lane-minor, so each is already ascending.
@@ -227,8 +196,7 @@ BatchExecResult execute_batch(const SecureProgram& p, const CompiledParams& para
         deliver(staged[si].lane, staged[si].idx, staged[si].op->finish(ctx));
         ++si;
       } else {
-        use_lane(comps[ci].lane);
-        deliver(comps[ci].lane, comps[ci].idx, comps[ci].op->take(ctx));
+        deliver(comps[ci].lane, comps[ci].idx, comps[ci].op->take());
         ++ci;
       }
     }
@@ -245,15 +213,15 @@ BatchExecResult execute_batch(const SecureProgram& p, const CompiledParams& para
     const Op& op = p.ops[i];
     const bool staged_kind = op.stages_opens() || op.stages_compare();
     // A staged op joins the open round group unless it starts a new group
-    // or reads one of the group's outputs.  The argmax terminal runs its
-    // own exchanges, and local ops may read group outputs.  Whatever ends
-    // the group flushes it BEFORE this op's span opens, so the group's
-    // exchanges land in its flush span and are never charged to this op.
-    const bool ends_group = staged_kind ? staged_group != op.round_group || input_pending(op)
-                                        : op.multi_round() || input_pending(op);
+    // or reads one of the group's outputs; a local op ends the group only
+    // when it reads one of its outputs.  Whatever ends the group flushes it
+    // BEFORE this op's span opens, so the group's exchanges land in its
+    // flush span and are never charged to this op.
+    const bool ends_group =
+        (staged_kind && staged_group != op.round_group) || input_pending(op);
     if (ends_group) flush_group();
     // Per-op span covering all K lanes' instances of this op: the staging
-    // of a staged op, the whole execution of a local op or argmax.
+    // of a staged op, the whole execution of a local op.
     const obs::SpanGuard op_span(tracer, "ir", op_kind_name(op.kind),
                                  static_cast<std::int64_t>(lanes));
     const auto in = [&](std::size_t q) -> const SecureTensor& {
@@ -307,6 +275,12 @@ BatchExecResult execute_batch(const SecureProgram& p, const CompiledParams& para
             cop = std::make_unique<proto::StagedMaxPool>(in(q), op.kernel, op.stride, op.pad,
                                                          opts.cfg.ot_mode);
             break;
+          case OpKind::argmax:
+            if (static_cast<int>(i) != p.output) {
+              throw std::logic_error("ir::execute: argmax must be the program output");
+            }
+            cop = std::make_unique<proto::StagedArgmax>(in(q), opts.cfg.ot_mode);
+            break;
           default:
             throw std::logic_error("ir::execute: unreachable compare kind");
         }
@@ -342,12 +316,6 @@ BatchExecResult execute_batch(const SecureProgram& p, const CompiledParams& para
                   proto::secure_add(ctx, acts[q][static_cast<std::size_t>(op.in0)],
                                     acts[q][static_cast<std::size_t>(op.in1)]));
           break;
-        case OpKind::argmax:
-          if (static_cast<int>(i) != p.output) {
-            throw std::logic_error("ir::execute: argmax must be the program output");
-          }
-          result.labels.push_back(proto::secure_argmax(ctx, in(q), opts.cfg));
-          break;
         case OpKind::batchnorm:
           throw std::logic_error("ir::execute: unfolded batch-norm (run the pass pipeline)");
         default:
@@ -357,23 +325,24 @@ BatchExecResult execute_batch(const SecureProgram& p, const CompiledParams& para
   }
   flush_group();
 
-  const Op& out_op = p.ops[static_cast<std::size_t>(p.output)];
-  if (out_op.kind == OpKind::argmax) return result;
-
-  // Reveal the logits to the client: every lane's terminal opening stages
-  // on the open buffer, so the whole batch reveals in ONE joint exchange.
-  const obs::SpanGuard reveal_span(tracer, "ir", "reveal_logits",
-                                   static_cast<std::int64_t>(lanes));
+  // Reveal the output to the client — the logits, or an argmax program's
+  // winning class indices: every lane's terminal opening stages on the
+  // round buffer, so the whole batch reveals in ONE joint exchange.
+  const obs::SpanGuard reveal_span(tracer, "ir", "reveal", static_cast<std::int64_t>(lanes));
+  const auto out_idx = static_cast<std::size_t>(p.output);
   std::vector<crypto::RingVec> revealed(lanes);
+  for (std::size_t q = 0; q < lanes; ++q) buf.stage_open(acts[q][out_idx].shares, &revealed[q]);
+  buf.flush();
   for (std::size_t q = 0; q < lanes; ++q) {
-    opens.stage(acts[q][static_cast<std::size_t>(p.output)].shares, &revealed[q]);
-  }
-  opens.flush();
-  result.logits.reserve(lanes);
-  for (std::size_t q = 0; q < lanes; ++q) {
-    const SecureTensor& final_act = acts[q][static_cast<std::size_t>(p.output)];
-    result.logits.push_back(nn::Tensor::from_doubles(crypto::decode_vec(revealed[q], rc),
-                                                     std::vector<int>(final_act.shape)));
+    if (p.ops[out_idx].kind == OpKind::argmax) {
+      std::vector<int>& labels = result.labels.emplace_back(revealed[q].size());
+      for (std::size_t r = 0; r < labels.size(); ++r) {
+        labels[r] = static_cast<int>(crypto::to_signed(revealed[q][r], rc));
+      }
+    } else {
+      result.logits.push_back(nn::Tensor::from_doubles(
+          crypto::decode_vec(revealed[q], rc), std::vector<int>(acts[q][out_idx].shape)));
+    }
   }
   return result;
 }

@@ -3,9 +3,9 @@
 // protocol stack.
 //
 // Parameters are secret-shared once (share_parameters) and reused across
-// queries; execute() walks the program in order, staging the openings of
-// every round group on the context's buffers and flushing each group in
-// one exchange per protocol phase.  This is the only way an operator
+// queries; execute() walks the program in order, staging the exchanges of
+// every round group on the context's round buffer and flushing each group
+// in one exchange per protocol phase.  This is the only way an operator
 // runs.  Staging preserves the program-order dealer and PRNG draw
 // sequence, so the round groups a program carries change its round and
 // message counts, never a share: a program whose every staged op sits in
@@ -48,7 +48,7 @@ struct ExecOptions {
   /// Invoked with (op index, output tensor) as each op's secret-shared
   /// output lands — after its round group delivers.  The differential
   /// test harness compares these shares request-for-request between
-  /// round groupings; argmax terminals (label outputs) are not reported.
+  /// round groupings.  An argmax terminal reports its shared class indices.
   std::function<void(std::size_t, const proto::SecureTensor&)> op_hook;
   /// Pre-shared input (non-owning; must outlive the call).  When set, the
   /// input op delivers a copy of these shares instead of sharing the
@@ -113,12 +113,11 @@ struct BatchExecResult {
 /// Runs K queries in lockstep inside one context.  Each op stages all K
 /// lanes' instances into the same round group before the group flushes, so
 /// comparison rounds are shared batch-wide (a group costs the rounds of
-/// ONE comparison stack regardless of K) and the terminal logits of all
-/// lanes reveal in one joint opening.  Lane q shares its input with its
-/// own canonical client PRG and draws from lane_sources[q] (when given),
-/// making each lane's transcript values bit-identical to an independent
-/// single-query run.  Argmax terminals run per lane — the tournament is
-/// not a staged op — so label programs pay their terminal rounds K times.
+/// ONE comparison stack regardless of K) and the terminal outputs of all
+/// lanes — logits, or an argmax program's class indices — reveal in one
+/// joint opening.  Lane q shares its input with its own canonical client
+/// PRG and draws from lane_sources[q] (when given), making each lane's
+/// transcript values bit-identical to an independent single-query run.
 [[nodiscard]] BatchExecResult execute_batch(const SecureProgram& program,
                                             const CompiledParams& params,
                                             crypto::TwoPartyContext& ctx,

@@ -1,5 +1,6 @@
 #include "ir/program.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 
 #include "nn/layers.hpp"
@@ -155,6 +156,9 @@ void append_argmax(SecureProgram& program) {
   op.in_h = op.in_w = 1;
   op.out_ch = 1;
   op.out_h = op.out_w = 1;
+  // A fresh group: the old output may still be pending in the last one.
+  for (const Op& prior : program.ops) op.round_group = std::max(op.round_group, prior.round_group);
+  ++op.round_group;
   program.ops.push_back(op);
   program.output = static_cast<int>(program.ops.size()) - 1;
 }

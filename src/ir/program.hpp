@@ -84,10 +84,10 @@ struct Op {
 
   /// Round group assigned by the schedule_rounds pass.  Single-round ops
   /// sharing a group id flush their openings in one exchange; staged
-  /// comparison ops (relu/maxpool) in the group advance their resumable
-  /// phases in lockstep, sharing the OT leaf round, each AND-tree level
-  /// and the B2A/mux openings across instances.  -1 for local ops and the
-  /// argmax terminal.
+  /// comparison ops (relu/maxpool/argmax) in the group advance their
+  /// resumable phases in lockstep, sharing the OT leaf round, each
+  /// AND-tree level and the B2A/mux openings across instances.  -1 for
+  /// local ops.
   int round_group = -1;
 
   [[nodiscard]] long long input_elems() const noexcept {
@@ -103,15 +103,12 @@ struct Op {
     return kind == OpKind::conv || kind == OpKind::depthwise_conv || kind == OpKind::linear ||
            kind == OpKind::x2act;
   }
-  /// Resumable multi-round comparison op (relu / maxpool): joins round
-  /// groups and advances phase by phase so independent instances share OT
-  /// and AND rounds.
+  /// Resumable multi-round comparison op (relu / maxpool / the argmax
+  /// terminal): joins round groups and advances phase by phase so
+  /// independent instances share OT and AND rounds.
   [[nodiscard]] bool stages_compare() const noexcept {
-    return kind == OpKind::relu || kind == OpKind::maxpool;
+    return kind == OpKind::relu || kind == OpKind::maxpool || kind == OpKind::argmax;
   }
-  /// Internally sequential multi-round op that runs its own exchanges
-  /// (the argmax terminal; its phases still coalesce internally).
-  [[nodiscard]] bool multi_round() const noexcept { return kind == OpKind::argmax; }
 };
 
 /// A whole lowered network.
@@ -134,7 +131,7 @@ struct SecureProgram {
 
 /// Appends a secure-argmax terminal consuming the current output (label-only
 /// revelation; paper-level output privacy).  The argmax op becomes the new
-/// program output.
+/// program output, in a round group of its own after every existing group.
 void append_argmax(SecureProgram& program);
 
 /// Releases every op's plaintext parameters (weights, biases, batch-norm

@@ -75,11 +75,11 @@ enum class Counter : int {
   bytes_p0_to_p1,      ///< accounted wire bytes, party 0 -> party 1
   bytes_p1_to_p0,      ///< accounted wire bytes, party 1 -> party 0
   messages,            ///< framed channel messages
-  ot_batches,          ///< merged (1,4)-OT dances (one per OtBuffer flush batch)
+  ot_batches,          ///< merged (1,4)-OT dances (one per RoundBuffer OT-phase batch)
   ot_messages,         ///< staged OT instances inside those batches
-  and_levels,          ///< coalesced AND-tree level openings (BitOpenBuffer flushes)
-  openings,            ///< staged ring-share openings delivered (OpenBuffer stages)
-  open_flushes,        ///< coalesced opening exchanges (OpenBuffer flushes)
+  and_levels,          ///< coalesced AND-tree level openings (RoundBuffer bit flushes)
+  openings,            ///< staged ring-share openings delivered (RoundBuffer opens stages)
+  open_flushes,        ///< coalesced opening exchanges (RoundBuffer opens flushes)
   triple_claims,       ///< TripleSource draws (any backend)
   store_claims,        ///< TripleStore bundle claims (claim_next / claim)
   dealer_claims,       ///< bundle claims served by a DealerServer

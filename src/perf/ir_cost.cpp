@@ -183,30 +183,30 @@ std::uint64_t ir_op_wire_bytes(const ir::Op& op, int ring_bits, int wire_bits) {
 
 namespace {
 
-/// Phase tokens of a staged comparison op, mirroring the executor's
-/// lockstep walk: ot = the two-message OT leaf dance, bit = one AND-tree
-/// level exchange, open = one ring-open exchange (B2A or mux).
-enum class PhaseTok : std::uint8_t { ot, bit, open };
+using crypto::RoundPhase;
 
-void append_drelu_mux_tokens(std::vector<PhaseTok>& toks, int ring_bits) {
-  toks.push_back(PhaseTok::ot);
+/// Appends the phases one v·DReLU(v) pass waits on, in order: the OT leaf
+/// dance, one bit opening per AND-tree level, then the B2A and mux ring
+/// openings.
+void append_drelu_mux_phases(std::vector<RoundPhase>& phases, int ring_bits) {
+  phases.push_back(RoundPhase::ot);
   const std::size_t levels =
       crypto::millionaire_and_level_multipliers(ring_bits - 1).size();
-  toks.insert(toks.end(), levels, PhaseTok::bit);
-  toks.push_back(PhaseTok::open);  // B2A
-  toks.push_back(PhaseTok::open);  // mux
+  phases.insert(phases.end(), levels, RoundPhase::bits);
+  phases.push_back(RoundPhase::opens);  // B2A
+  phases.push_back(RoundPhase::opens);  // mux (argmax: value and index)
 }
 
-std::vector<PhaseTok> compare_tokens(const ir::Op& op, int ring_bits) {
-  std::vector<PhaseTok> toks;
-  if (op.kind == ir::OpKind::relu) {
-    append_drelu_mux_tokens(toks, ring_bits);
-  } else if (op.kind == ir::OpKind::maxpool) {
-    for (int level = tree_levels(op.kernel * op.kernel); level > 0; --level) {
-      append_drelu_mux_tokens(toks, ring_bits);
-    }
-  }
-  return toks;
+/// The phase stream of a staged comparison op: relu is one pass, maxpool
+/// and argmax one pass per tournament level.
+std::vector<RoundPhase> compare_phases(const ir::Op& op, int ring_bits) {
+  int passes = 0;
+  if (op.kind == ir::OpKind::relu) passes = 1;
+  if (op.kind == ir::OpKind::maxpool) passes = tree_levels(op.kernel * op.kernel);
+  if (op.kind == ir::OpKind::argmax) passes = tree_levels(op.in_features);
+  std::vector<RoundPhase> phases;
+  for (int i = 0; i < passes; ++i) append_drelu_mux_phases(phases, ring_bits);
+  return phases;
 }
 
 struct GroupWalk {
@@ -217,42 +217,42 @@ struct GroupWalk {
   std::uint64_t ot_merge_savings = 0;
 };
 
-/// Replays the executor's lockstep phase walk over one round group: each
-/// iteration costs 2 rounds if any instance's head token is an OT, plus 1
-/// per bit-open / ring-open flush any instance waits on; every instance
-/// advances one token.  Identical comparisons therefore cost the same
-/// rounds whether the group holds one instance or four thousand.
-GroupWalk simulate_group_rounds(const std::vector<std::vector<PhaseTok>>& streams,
+/// Replays the executor's group walk over one round group with the
+/// RoundBuffer's flush rule: each flush runs one phase — OT (2 rounds) if
+/// any instance waits on it, else a bit opening (1 round), else a ring
+/// opening (1 round; the single-round members' openings ride the first
+/// one) — and advances the instances that waited on it.  Identical
+/// comparisons therefore cost the same rounds whether the group holds one
+/// instance or four thousand.
+GroupWalk simulate_group_rounds(const std::vector<std::vector<RoundPhase>>& streams,
                                 bool has_single_round_member) {
   std::vector<std::size_t> pos(streams.size(), 0);
+  bool singles_pending = has_single_round_member;
   GroupWalk walk;
   for (;;) {
-    bool bit = false, open = false;
-    int ot_count = 0;
+    std::uint64_t waiting[3] = {0, 0, 0};  // indexed by RoundPhase ot, bits, opens
     for (std::size_t i = 0; i < streams.size(); ++i) {
-      if (pos[i] >= streams[i].size()) continue;
-      switch (streams[i][pos[i]]) {
-        case PhaseTok::ot:
-          ++ot_count;
-          break;
-        case PhaseTok::bit:
-          bit = true;
-          break;
-        case PhaseTok::open:
-          open = true;
-          break;
-      }
+      if (pos[i] < streams[i].size()) ++waiting[static_cast<int>(streams[i][pos[i]])];
     }
-    if (ot_count == 0 && !bit && !open) break;
-    walk.rounds += (ot_count > 0 ? 2 : 0) + (bit ? 1 : 0) + (open ? 1 : 0);
-    if (ot_count > 1) walk.ot_merge_savings += 8ULL * (static_cast<std::uint64_t>(ot_count) - 1);
+    RoundPhase ran = RoundPhase::done;
+    if (waiting[0] > 0) {
+      ran = RoundPhase::ot;
+      walk.rounds += 2;
+      walk.ot_merge_savings += 8 * (waiting[0] - 1);
+    } else if (waiting[1] > 0) {
+      ran = RoundPhase::bits;
+      walk.rounds += 1;
+    } else if (waiting[2] > 0 || singles_pending) {
+      ran = RoundPhase::opens;
+      walk.rounds += 1;
+      singles_pending = false;
+    } else {
+      break;
+    }
     for (std::size_t i = 0; i < streams.size(); ++i) {
-      if (pos[i] < streams[i].size()) ++pos[i];
+      if (pos[i] < streams[i].size() && streams[i][pos[i]] == ran) ++pos[i];
     }
   }
-  // A group whose comparisons never open (degenerate 1x1 pools) still pays
-  // one exchange for its pending single-round openings.
-  if (walk.rounds == 0 && has_single_round_member) walk.rounds = 1;
   return walk;
 }
 
@@ -264,19 +264,19 @@ ProgramCost profile_program(const LatencyModel& m, const ir::SecureProgram& p,
   pc.per_op.reserve(p.ops.size());
   const auto lanes = static_cast<std::uint64_t>(batch < 1 ? 1 : batch);
 
-  // Group composition: token streams of the comparison members plus
+  // Group composition: phase streams of the comparison members plus
   // whether single-round members ride along.  A batched run stages every
   // lane's instance into the same group, so each comparison contributes
   // `lanes` identical streams — the walk's rounds stay K-invariant while
   // the merged-OT savings grow with every extra lane.
-  std::map<int, std::vector<std::vector<PhaseTok>>> group_streams;
+  std::map<int, std::vector<std::vector<RoundPhase>>> group_streams;
   std::map<int, bool> group_has_single;
   for (const ir::Op& op : p.ops) {
     if (op.round_group < 0) continue;
     if (op.stages_compare()) {
-      const std::vector<PhaseTok> toks = compare_tokens(op, ring_bits);
+      const std::vector<RoundPhase> phases = compare_phases(op, ring_bits);
       auto& streams = group_streams[op.round_group];
-      for (std::uint64_t q = 0; q < lanes; ++q) streams.push_back(toks);
+      for (std::uint64_t q = 0; q < lanes; ++q) streams.push_back(phases);
     } else if (op.stages_opens()) {
       group_streams[op.round_group];  // ensure the group exists
       group_has_single[op.round_group] = true;
@@ -285,10 +285,6 @@ ProgramCost profile_program(const LatencyModel& m, const ir::SecureProgram& p,
   std::map<int, int> group_rounds;
   std::uint64_t ot_merge_savings = 0;
   for (const auto& [g, streams] : group_streams) {
-    if (streams.empty()) {
-      group_rounds[g] = 1;  // single-round members only: one merged open
-      continue;
-    }
     const GroupWalk walk = simulate_group_rounds(streams, group_has_single[g]);
     group_rounds[g] = walk.rounds;
     ot_merge_savings += walk.ot_merge_savings;
@@ -307,10 +303,6 @@ ProgramCost profile_program(const LatencyModel& m, const ir::SecureProgram& p,
         groups_counted.insert(op.round_group);
         c.rounds = group_rounds[op.round_group];
       }
-    } else if (op.multi_round()) {
-      // Argmax terminals are not staged: each lane's tournament runs its
-      // own exchanges back to back.
-      c.rounds *= static_cast<int>(lanes);
     }
     // per_op stays the single-lane figure (rounds already group-shared);
     // the total scales every additive field by the lane count.
@@ -323,12 +315,9 @@ ProgramCost profile_program(const LatencyModel& m, const ir::SecureProgram& p,
     per_op_wire_bytes += lanes * ir_op_wire_bytes(op, ring_bits, wire_bits);
   }
   pc.round_groups = static_cast<int>(groups_counted.size());
-  // Terminal joint opening: all lanes' logits reveal in ONE merged
-  // exchange; an argmax terminal's index reveal instead happens inside
-  // each lane's tournament, once per lane.
-  const bool argmax_terminal =
-      p.output >= 0 && p.ops[static_cast<std::size_t>(p.output)].multi_round();
-  pc.total.rounds += argmax_terminal ? static_cast<int>(lanes) : 1;
+  // Terminal joint opening: all lanes' logits (or argmax indices) reveal
+  // in ONE merged exchange.
+  pc.total.rounds += 1;
   const auto wire = static_cast<std::uint64_t>((wire_bits + 7) / 8);
   const auto out_elems = static_cast<std::uint64_t>(
       p.output >= 0 ? p.ops[static_cast<std::size_t>(p.output)].output_elems() : 0);

@@ -9,9 +9,10 @@
 // E/F openings) — the same rounds the executor measures.  Ops
 // sharing a round group count their rounds together: single-round members
 // merge into one exchange, staged comparison members are priced by
-// replaying the executor's lockstep phase walk (shared OT round, shared
-// exchange per AND level and open phase — independent of the instance
-// count).  The terminal opening (logits or argmax indices) adds one more.
+// replaying the executor's group walk — one phase per RoundBuffer flush:
+// the shared OT round, one exchange per AND level and per open phase,
+// independent of the instance count.  The terminal opening (logits or
+// argmax indices) adds one more.
 //
 // The CI round-regression guard asserts the executor's measured rounds and
 // wire bytes exactly equal this model's prediction on the reference
@@ -90,12 +91,11 @@ struct OfflinePhaseCost {
                                                      int batch = 1);
 
 /// `batch` prices a K-lane single-context batched run (ir::execute_batch):
-/// every comparison contributes K identical phase streams to its round
-/// group — so group rounds stay K-invariant while merged-OT savings grow —
-/// per-op compute/communication and per-op wire bytes scale by K, the
-/// terminal logits opening stays ONE merged exchange, and argmax terminals
-/// (not staged) pay their tournament and reveal rounds per lane.  per_op
-/// entries remain single-lane figures.
+/// every comparison — argmax terminals included — contributes K identical
+/// phase streams to its round group, so group rounds stay K-invariant
+/// while merged-OT savings grow; per-op compute/communication and per-op
+/// wire bytes scale by K, and the terminal opening stays ONE merged
+/// exchange.  per_op entries remain single-lane figures.
 [[nodiscard]] ProgramCost profile_program(const LatencyModel& model,
                                           const ir::SecureProgram& program,
                                           int ring_bits = 64, int wire_bits = 32,

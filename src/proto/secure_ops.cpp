@@ -77,6 +77,44 @@ crypto::BilinearSpec conv_spec(const SecureTensor& x, int out_ch, int kernel, in
   return spec;
 }
 
+/// Concatenates the even (a) and odd (b) taps of every pair.
+void split_pairs(const std::vector<Shared>& taps, Shared* a, Shared* b) {
+  const std::size_t pairs = taps.size() / 2;
+  const std::size_t elems = taps[0].size();
+  for (Shared* side : {a, b}) {
+    side->s0.clear();
+    side->s1.clear();
+    side->s0.reserve(pairs * elems);
+    side->s1.reserve(pairs * elems);
+  }
+  for (std::size_t p = 0; p < pairs; ++p) {
+    for (int k = 0; k < 2; ++k) {
+      Shared& dst = k == 0 ? *a : *b;
+      const Shared& src = taps[2 * p + k];
+      dst.s0.insert(dst.s0.end(), src.s0.begin(), src.s0.end());
+      dst.s1.insert(dst.s1.end(), src.s1.begin(), src.s1.end());
+    }
+  }
+}
+
+/// The next level's taps: each pair's winner b + gated, then the odd tap.
+std::vector<Shared> next_level(std::vector<Shared>& taps, const Shared& b, const Shared& gated,
+                               const RingConfig& rc) {
+  const Shared win = crypto::add(b, gated, rc);
+  const std::size_t pairs = taps.size() / 2;
+  const std::size_t elems = taps[0].size();
+  std::vector<Shared> next;
+  next.reserve(pairs + 1);
+  for (std::size_t p = 0; p < pairs; ++p) {
+    Shared v;
+    v.s0 = slice_ring(win.s0, p * elems, (p + 1) * elems);
+    v.s1 = slice_ring(win.s1, p * elems, (p + 1) * elems);
+    next.push_back(std::move(v));
+  }
+  if (taps.size() % 2 == 1) next.push_back(std::move(taps.back()));
+  return next;
+}
+
 }  // namespace
 
 SecureTensor share_tensor(const nn::Tensor& x, crypto::Prng& prng, const RingConfig& rc) {
@@ -228,16 +266,75 @@ void StagedRelu::begin(TwoPartyContext& ctx) {
               crypto::draw_drelu_mux_material(ctx, x_.shares.size()));
 }
 
-crypto::CompareWait StagedRelu::waiting() const { return core_.waiting(); }
+crypto::RoundPhase StagedRelu::waiting() const { return core_.waiting(); }
 
 void StagedRelu::step(TwoPartyContext& ctx) { core_.step(ctx); }
 
-SecureTensor StagedRelu::take(TwoPartyContext& ctx) {
-  (void)ctx;
+SecureTensor StagedRelu::take() {
   SecureTensor out;
   out.shape = x_.shape;
   out.shares = std::move(core_.result());
   return out;
+}
+
+void StagedTournament::begin(TwoPartyContext& ctx, std::vector<Shared> taps,
+                             std::vector<Shared> payloads, crypto::OtMode mode) {
+  if (!payloads.empty() && payloads.size() != taps.size()) {
+    throw std::invalid_argument("StagedTournament: one payload tap per value tap");
+  }
+  taps_ = std::move(taps);
+  payloads_ = std::move(payloads);
+  mode_ = mode;
+  const std::size_t elems = taps_.empty() ? 0 : taps_[0].size();
+  // Draw every level's material up front, in level order — the same
+  // request stream the level-by-level blocking tournament consumed.
+  mats_.clear();
+  std::size_t t = taps_.size();
+  while (t > 1) {
+    const std::size_t pairs = t / 2;
+    mats_.push_back(crypto::draw_drelu_mux_material(ctx, pairs * elems, !payloads_.empty()));
+    t = pairs + t % 2;
+  }
+  level_ = 0;
+  done_ = taps_.size() <= 1;
+  if (!done_) begin_level(ctx);
+}
+
+void StagedTournament::begin_level(TwoPartyContext& ctx) {
+  // One batched secure max over all pairs of the level: the comparisons,
+  // B2A conversions and mux multiplies of every pair concatenated into
+  // single protocol phases.
+  const RingConfig& rc = ctx.ring();
+  Shared a, pa, pdiff;
+  split_pairs(taps_, &a, &level_b_);
+  if (!payloads_.empty()) {
+    split_pairs(payloads_, &pa, &level_pb_);
+    pdiff = crypto::sub(pa, level_pb_, rc);
+  }
+  mux_ = crypto::StagedDreluMux{};
+  mux_.begin(ctx, crypto::sub(a, level_b_, rc), mode_, std::move(mats_[level_]),
+             payloads_.empty() ? nullptr : &pdiff);
+}
+
+crypto::RoundPhase StagedTournament::waiting() const {
+  return done_ ? crypto::RoundPhase::done : mux_.waiting();
+}
+
+void StagedTournament::step(TwoPartyContext& ctx) {
+  mux_.step(ctx);
+  if (mux_.waiting() != crypto::RoundPhase::done) return;
+  // Level complete: winners = b + gated, sliced back into per-tap vectors.
+  const RingConfig& rc = ctx.ring();
+  if (!payloads_.empty()) {
+    payloads_ = next_level(payloads_, level_pb_, mux_.payload_result(), rc);
+  }
+  taps_ = next_level(taps_, level_b_, mux_.result(), rc);
+  ++level_;
+  if (taps_.size() > 1) {
+    begin_level(ctx);
+  } else {
+    done_ = true;
+  }
 }
 
 StagedMaxPool::StagedMaxPool(const SecureTensor& x, int kernel, int stride, int pad,
@@ -247,90 +344,64 @@ StagedMaxPool::StagedMaxPool(const SecureTensor& x, int kernel, int stride, int 
 void StagedMaxPool::begin(TwoPartyContext& ctx) {
   // Gather the k² window taps; padding positions hold zero shares (valid
   // for the non-negative post-activation maps our backbones pool).
-  taps_.clear();
-  taps_.reserve(static_cast<std::size_t>(kernel_) * kernel_);
+  std::vector<Shared> taps;
+  taps.reserve(static_cast<std::size_t>(kernel_) * kernel_);
   for (int kh = 0; kh < kernel_; ++kh) {
     for (int kw = 0; kw < kernel_; ++kw) {
-      taps_.push_back(gather_window_tap(x_, kh, kw, kernel_, stride_, pad_, nullptr));
+      taps.push_back(gather_window_tap(x_, kh, kw, kernel_, stride_, pad_, nullptr));
     }
   }
-  elems_ = taps_.empty() ? 0 : taps_[0].size();
-  // Draw every tournament level's material up front, in level order — the
-  // same request stream the level-by-level blocking tournament consumed.
-  mats_.clear();
-  std::size_t t = taps_.size();
-  while (t > 1) {
-    const std::size_t pairs = t / 2;
-    mats_.push_back(crypto::draw_drelu_mux_material(ctx, pairs * elems_));
-    t = pairs + t % 2;
-  }
-  level_ = 0;
-  done_ = taps_.size() <= 1;
-  if (!done_) begin_level(ctx);
+  tournament_.begin(ctx, std::move(taps), {}, mode_);
 }
 
-void StagedMaxPool::begin_level(TwoPartyContext& ctx) {
-  // One batched secure max over all pairs of the level: max(a, b) =
-  // b + (a-b)·DReLU(a-b), with the comparisons, B2A conversions and mux
-  // multiplies of every pair concatenated into single protocol phases.
-  const std::size_t pairs = taps_.size() / 2;
-  Shared a, b;
-  a.s0.reserve(pairs * elems_);
-  a.s1.reserve(pairs * elems_);
-  b.s0.reserve(pairs * elems_);
-  b.s1.reserve(pairs * elems_);
-  for (std::size_t p = 0; p < pairs; ++p) {
-    a.s0.insert(a.s0.end(), taps_[2 * p].s0.begin(), taps_[2 * p].s0.end());
-    a.s1.insert(a.s1.end(), taps_[2 * p].s1.begin(), taps_[2 * p].s1.end());
-    b.s0.insert(b.s0.end(), taps_[2 * p + 1].s0.begin(), taps_[2 * p + 1].s0.end());
-    b.s1.insert(b.s1.end(), taps_[2 * p + 1].s1.begin(), taps_[2 * p + 1].s1.end());
-  }
-  const Shared diff = crypto::sub(a, b, ctx.ring());
-  level_b_ = std::move(b);
-  mux_ = crypto::StagedDreluMux{};
-  mux_.begin(ctx, diff, mode_, std::move(mats_[level_]));
-}
+crypto::RoundPhase StagedMaxPool::waiting() const { return tournament_.waiting(); }
 
-crypto::CompareWait StagedMaxPool::waiting() const {
-  return done_ ? crypto::CompareWait::done : mux_.waiting();
-}
+void StagedMaxPool::step(TwoPartyContext& ctx) { tournament_.step(ctx); }
 
-void StagedMaxPool::step(TwoPartyContext& ctx) {
-  mux_.step(ctx);
-  if (mux_.waiting() != crypto::CompareWait::done) return;
-  // Level complete: winners = b + gated, sliced back into per-tap vectors.
-  const Shared win = crypto::add(level_b_, mux_.result(), ctx.ring());
-  const std::size_t pairs = taps_.size() / 2;
-  std::vector<Shared> next;
-  next.reserve(pairs + 1);
-  for (std::size_t p = 0; p < pairs; ++p) {
-    Shared v;
-    v.s0 = slice_ring(win.s0, p * elems_, (p + 1) * elems_);
-    v.s1 = slice_ring(win.s1, p * elems_, (p + 1) * elems_);
-    next.push_back(std::move(v));
-  }
-  if (taps_.size() % 2 == 1) next.push_back(std::move(taps_.back()));
-  taps_ = std::move(next);
-  ++level_;
-  if (taps_.size() > 1) {
-    begin_level(ctx);
-  } else {
-    done_ = true;
-  }
-}
-
-SecureTensor StagedMaxPool::take(TwoPartyContext& ctx) {
-  (void)ctx;
+SecureTensor StagedMaxPool::take() {
   SecureTensor out;
   const int n = x_.dim(0), c = x_.dim(1);
   out.shape = {n, c, nn::conv_out_size(x_.dim(2), kernel_, stride_, pad_),
                nn::conv_out_size(x_.dim(3), kernel_, stride_, pad_)};
-  out.shares = std::move(taps_[0]);
+  out.shares = std::move(tournament_.winner());
+  return out;
+}
+
+StagedArgmax::StagedArgmax(const SecureTensor& logits, crypto::OtMode mode)
+    : logits_(logits), mode_(mode) {}
+
+void StagedArgmax::begin(TwoPartyContext& ctx) {
+  // Column c of the [N, classes] logits is tap c; its payload is the raw
+  // integer index c (no fixed-point scale), shared trivially by party 0.
+  const auto n = static_cast<std::size_t>(logits_.dim(0));
+  const auto classes = static_cast<std::size_t>(logits_.dim(1));
+  std::vector<Shared> values(classes), indices(classes);
+  for (std::size_t c = 0; c < classes; ++c) {
+    values[c].s0.resize(n);
+    values[c].s1.resize(n);
+    for (std::size_t r = 0; r < n; ++r) {
+      values[c].s0[r] = logits_.shares.s0[r * classes + c];
+      values[c].s1[r] = logits_.shares.s1[r * classes + c];
+    }
+    indices[c].s0.assign(n, static_cast<std::uint64_t>(c));
+    indices[c].s1.assign(n, 0);
+  }
+  tournament_.begin(ctx, std::move(values), std::move(indices), mode_);
+}
+
+crypto::RoundPhase StagedArgmax::waiting() const { return tournament_.waiting(); }
+
+void StagedArgmax::step(TwoPartyContext& ctx) { tournament_.step(ctx); }
+
+SecureTensor StagedArgmax::take() {
+  SecureTensor out;
+  out.shape = {logits_.dim(0), 1};
+  out.shares = std::move(tournament_.payload_winner());
   return out;
 }
 
 // ---------------------------------------------------------------------------
-// Local operators and the argmax terminal
+// Local operators
 // ---------------------------------------------------------------------------
 
 SecureTensor secure_avgpool(TwoPartyContext& ctx, const SecureTensor& x, int kernel,
@@ -398,105 +469,6 @@ SecureTensor secure_flatten(const SecureTensor& x) {
   SecureTensor out = x;
   const int n = x.dim(0);
   out.shape = {n, static_cast<int>(x.size()) / n};
-  return out;
-}
-
-std::vector<int> secure_argmax(TwoPartyContext& ctx, const SecureTensor& logits,
-                               const SecureConfig& cfg) {
-  const RingConfig& rc = ctx.ring();
-  const int n = logits.dim(0);
-  const int classes = logits.dim(1);
-
-  // Per row: a tournament over (value, index) pairs, all rows batched per
-  // level.  Values carry the fixed-point scale; indices are raw integers.
-  std::vector<Shared> values(static_cast<std::size_t>(classes));
-  std::vector<Shared> indices(static_cast<std::size_t>(classes));
-  for (int c = 0; c < classes; ++c) {
-    Shared v, idx;
-    v.s0.resize(static_cast<std::size_t>(n));
-    v.s1.resize(static_cast<std::size_t>(n));
-    idx.s0.assign(static_cast<std::size_t>(n), static_cast<std::uint64_t>(c));
-    idx.s1.assign(static_cast<std::size_t>(n), 0);
-    for (int r = 0; r < n; ++r) {
-      const std::size_t src = static_cast<std::size_t>(r) * classes + c;
-      v.s0[static_cast<std::size_t>(r)] = logits.shares.s0[src];
-      v.s1[static_cast<std::size_t>(r)] = logits.shares.s1[src];
-    }
-    values[static_cast<std::size_t>(c)] = std::move(v);
-    indices[static_cast<std::size_t>(c)] = std::move(idx);
-  }
-
-  while (values.size() > 1) {
-    const std::size_t pairs = values.size() / 2;
-    // Concatenate all pairs of all rows into single protocol calls.
-    Shared va, vb, ia, ib;
-    for (std::size_t p = 0; p < pairs; ++p) {
-      const auto append = [](Shared& dst, const Shared& src) {
-        dst.s0.insert(dst.s0.end(), src.s0.begin(), src.s0.end());
-        dst.s1.insert(dst.s1.end(), src.s1.begin(), src.s1.end());
-      };
-      append(va, values[2 * p]);
-      append(vb, values[2 * p + 1]);
-      append(ia, indices[2 * p]);
-      append(ib, indices[2 * p + 1]);
-    }
-    const Shared vdiff = crypto::sub(va, vb, rc);
-    const Shared idiff = crypto::sub(ia, ib, rc);
-    const std::size_t lvl_n = vdiff.size();
-    // Level material in plan order: DReLU AND-tree, B2A, value selector,
-    // index selector (ir::derive_plan emits the same stream).
-    crypto::MillionaireMaterial mill = crypto::draw_drelu_material(ctx, lvl_n);
-    crypto::ElemTriple t_b2a = ctx.triples().elem_triple(lvl_n);
-    crypto::ElemTriple t_vsel = ctx.triples().elem_triple(lvl_n);
-    crypto::ElemTriple t_isel = ctx.triples().elem_triple(lvl_n);
-    // [a >= b]: on ties the lower-index (a) side wins.
-    crypto::StagedDrelu sd;
-    sd.begin(ctx, vdiff, cfg.ot_mode, std::move(mill));
-    while (sd.waiting() != crypto::CompareWait::done) {
-      crypto::flush_compare_buffers(ctx, sd.waiting());
-      sd.step(ctx);
-    }
-    crypto::B2aRound b2a;
-    b2a.stage(ctx, sd.result(), std::move(t_b2a));
-    ctx.opens().flush();
-    const Shared bit = b2a.finish(rc);
-    // winner = b + (a - b)·[a >= b]; indices follow the same selector.  The
-    // two selector multiplies depend only on the bit, so their openings
-    // share one flush (one exchange).
-    crypto::MulRound vsel, isel;
-    vsel.stage(ctx, vdiff, bit, std::move(t_vsel));
-    isel.stage(ctx, idiff, bit, std::move(t_isel));
-    ctx.opens().flush();
-    const Shared vwin = crypto::add(vb, vsel.finish(rc), rc);
-    const Shared iwin = crypto::add(ib, isel.finish(rc), rc);
-
-    std::vector<Shared> next_v, next_i;
-    next_v.reserve(pairs + 1);
-    next_i.reserve(pairs + 1);
-    for (std::size_t p = 0; p < pairs; ++p) {
-      const auto slice = [n](const Shared& src, std::size_t p_) {
-        Shared out;
-        out.s0 = slice_ring(src.s0, p_ * n, (p_ + 1) * n);
-        out.s1 = slice_ring(src.s1, p_ * n, (p_ + 1) * n);
-        return out;
-      };
-      next_v.push_back(slice(vwin, p));
-      next_i.push_back(slice(iwin, p));
-    }
-    if (values.size() % 2 == 1) {
-      next_v.push_back(std::move(values.back()));
-      next_i.push_back(std::move(indices.back()));
-    }
-    values = std::move(next_v);
-    indices = std::move(next_i);
-  }
-
-  const RingVec revealed = crypto::open(ctx, indices[0]);
-  std::vector<int> out(static_cast<std::size_t>(n));
-  for (int r = 0; r < n; ++r) {
-    out[static_cast<std::size_t>(r)] =
-        static_cast<int>(crypto::to_signed(revealed[static_cast<std::size_t>(r)], rc));
-  }
   return out;
 }
 

@@ -11,12 +11,11 @@
 // The operators that communicate are staged classes the IR executor
 // (ir::execute_batch) drives.  The single-round multiplicative ops (conv,
 // depthwise conv, linear, x2act) split into stage() — draw triples and
-// stage the masked openings on the context's OpenBuffer — and finish() —
+// stage the masked openings on the context's RoundBuffer — and finish() —
 // local recombination once the executor has flushed the op's round
-// group.  ReLU and MaxPool are resumable comparison machines the executor
-// advances phase by phase.  Local ops (pooling by averaging, add,
-// flatten) are plain functions, as is the argmax terminal, which runs its
-// own exchanges.
+// group.  ReLU, MaxPool and the argmax terminal are resumable comparison
+// machines the executor advances phase by phase.  Local ops (pooling by
+// averaging, add, flatten) are plain functions.
 
 #include <memory>
 
@@ -100,19 +99,20 @@ class StagedX2act final : public StagedSecureOp {
 /// Interface for multi-round comparison ops the IR executor advances in
 /// lockstep: begin() draws ALL of the op's correlated randomness (keeping
 /// the dealer request stream program-ordered) and stages its first
-/// communication phase on the context buffers; waiting() names the buffer
-/// the op needs flushed; step() consumes the flushed round and stages the
-/// next phase.  All instances of one round group share each flush — one
-/// (1,4)-OT round per digit batch, one exchange per AND-tree level, one
-/// opening per B2A/mux phase — however many instances the group holds.
+/// communication phase on the context's round buffer; waiting() names the
+/// phase the op needs flushed; step() consumes the flushed round and
+/// stages the next phase.  All instances of one round group share each
+/// flush — one (1,4)-OT round per digit batch, one exchange per AND-tree
+/// level, one opening per B2A/mux phase — however many instances the group
+/// holds.
 class StagedCompareOp {
  public:
   virtual ~StagedCompareOp() = default;
   virtual void begin(crypto::TwoPartyContext& ctx) = 0;
-  [[nodiscard]] virtual crypto::CompareWait waiting() const = 0;
+  [[nodiscard]] virtual crypto::RoundPhase waiting() const = 0;
   virtual void step(crypto::TwoPartyContext& ctx) = 0;
   /// The op's output; valid once waiting() == done.
-  [[nodiscard]] virtual SecureTensor take(crypto::TwoPartyContext& ctx) = 0;
+  [[nodiscard]] virtual SecureTensor take() = 0;
 };
 
 /// Staged 2PC ReLU: one resumable v·DReLU(v) over the whole tensor.
@@ -120,9 +120,9 @@ class StagedRelu final : public StagedCompareOp {
  public:
   StagedRelu(const SecureTensor& x, crypto::OtMode mode);
   void begin(crypto::TwoPartyContext& ctx) override;
-  [[nodiscard]] crypto::CompareWait waiting() const override;
+  [[nodiscard]] crypto::RoundPhase waiting() const override;
   void step(crypto::TwoPartyContext& ctx) override;
-  [[nodiscard]] SecureTensor take(crypto::TwoPartyContext& ctx) override;
+  [[nodiscard]] SecureTensor take() override;
 
  private:
   const SecureTensor& x_;
@@ -130,34 +130,73 @@ class StagedRelu final : public StagedCompareOp {
   crypto::StagedDreluMux core_;
 };
 
-/// Staged 2PC MaxPool: the k²-tap tournament with every level a resumable
-/// batched secure max.  All the tournament's correlated randomness is
-/// drawn at begin() (level order), so a singleton level — one comparison
-/// left — rides the shared group flushes instead of paying private ones.
+/// Resumable max tournament over equal-length taps: each level is one
+/// batched secure max over all its pairs, max(a, b) = b + (a-b)·[a >= b],
+/// so ties keep the earlier tap; an odd tap carries up unpaired.  Optional
+/// payload taps (argmax's class indices) follow their value's selector.
+/// All levels' correlated randomness is drawn at begin(), in level order,
+/// so a singleton level — one comparison left — rides the shared group
+/// flushes instead of paying private ones.
+class StagedTournament {
+ public:
+  /// `payloads` is empty or holds one tap per value tap.
+  void begin(crypto::TwoPartyContext& ctx, std::vector<crypto::Shared> taps,
+             std::vector<crypto::Shared> payloads, crypto::OtMode mode);
+  [[nodiscard]] crypto::RoundPhase waiting() const;
+  void step(crypto::TwoPartyContext& ctx);
+  /// The winning value and its payload; valid once waiting() == done.
+  [[nodiscard]] crypto::Shared& winner() { return taps_[0]; }
+  [[nodiscard]] crypto::Shared& payload_winner() { return payloads_[0]; }
+
+ private:
+  void begin_level(crypto::TwoPartyContext& ctx);
+  std::vector<crypto::Shared> taps_, payloads_;
+  crypto::OtMode mode_ = crypto::OtMode::dh_masked;
+  std::vector<crypto::DreluMuxMaterial> mats_;
+  std::size_t level_ = 0;
+  crypto::Shared level_b_, level_pb_;
+  crypto::StagedDreluMux mux_;
+  bool done_ = true;
+};
+
+/// Staged 2PC MaxPool: the k²-tap tournament over the window taps.
 class StagedMaxPool final : public StagedCompareOp {
  public:
   StagedMaxPool(const SecureTensor& x, int kernel, int stride, int pad,
                 crypto::OtMode mode);
   void begin(crypto::TwoPartyContext& ctx) override;
-  [[nodiscard]] crypto::CompareWait waiting() const override;
+  [[nodiscard]] crypto::RoundPhase waiting() const override;
   void step(crypto::TwoPartyContext& ctx) override;
-  [[nodiscard]] SecureTensor take(crypto::TwoPartyContext& ctx) override;
+  [[nodiscard]] SecureTensor take() override;
 
  private:
-  void begin_level(crypto::TwoPartyContext& ctx);
   const SecureTensor& x_;
   int kernel_, stride_, pad_;
   crypto::OtMode mode_;
-  std::vector<crypto::Shared> taps_;
-  std::size_t elems_ = 0;
-  std::vector<crypto::DreluMuxMaterial> mats_;
-  std::size_t level_ = 0;
-  crypto::Shared level_b_;
-  crypto::StagedDreluMux mux_;
-  bool done_ = false;
+  StagedTournament tournament_;
 };
 
-// --- Local operators and the argmax terminal -------------------------------
+/// Staged secure argmax over the class dimension of [N, classes] logits:
+/// the tournament over the class columns with each column's index as the
+/// payload, so (value, index) pairs stay secret-shared throughout.  The
+/// output is the [N, 1] shared winning index; revealing it (the executor's
+/// terminal reveal) tells the client the label and nothing else.  Ties
+/// break toward the lowest class index.
+class StagedArgmax final : public StagedCompareOp {
+ public:
+  StagedArgmax(const SecureTensor& logits, crypto::OtMode mode);
+  void begin(crypto::TwoPartyContext& ctx) override;
+  [[nodiscard]] crypto::RoundPhase waiting() const override;
+  void step(crypto::TwoPartyContext& ctx) override;
+  [[nodiscard]] SecureTensor take() override;
+
+ private:
+  const SecureTensor& logits_;
+  crypto::OtMode mode_;
+  StagedTournament tournament_;
+};
+
+// --- Local operators --------------------------------------------------------
 
 /// 2PC AvgPool: local additions and public scaling (Eq. 15).
 [[nodiscard]] SecureTensor secure_avgpool(crypto::TwoPartyContext& ctx, const SecureTensor& x,
@@ -173,14 +212,5 @@ class StagedMaxPool final : public StagedCompareOp {
 
 /// Flatten (local reshape).
 [[nodiscard]] SecureTensor secure_flatten(const SecureTensor& x);
-
-/// Secure argmax over the class dimension of [N, classes] logits: a
-/// comparison-tree tournament that keeps (value, one-hot index) pairs
-/// secret-shared throughout; only the winning indices are revealed.
-/// Stronger output privacy than revealing logits (the client learns the
-/// label, nothing else).  Ties break toward the lowest class index.
-[[nodiscard]] std::vector<int> secure_argmax(crypto::TwoPartyContext& ctx,
-                                             const SecureTensor& logits,
-                                             const SecureConfig& cfg);
 
 }  // namespace pasnet::proto

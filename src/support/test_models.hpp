@@ -2,8 +2,8 @@
 // Shared tiny-model fixtures used by the test suites and benches: a tiny
 // conv-bn-act-pool-fc model, a short training warm-up so batch-norm has
 // meaningful running statistics, a tensor diff helper, and IR program
-// helpers (one-op programs, the one-group-per-op grouping, runs at a
-// canonical stream position).
+// helpers (one-op programs, argmax over shared logits, the
+// one-group-per-op grouping, runs at a canonical stream position).
 
 #include <algorithm>
 #include <cmath>
@@ -195,8 +195,29 @@ inline nn::Tensor run_single_op(crypto::TwoPartyContext& ctx, ir::Op op, const n
   return ir::execute(p, params, ctx, x, opts).logits;
 }
 
+/// Secure argmax over the rows of pre-shared [N, classes] logits, run
+/// through the executor: an input op delivering `logits`, followed by
+/// ir::append_argmax.  Returns the revealed per-row labels.
+inline std::vector<int> run_argmax(crypto::TwoPartyContext& ctx,
+                                   const proto::SecureTensor& logits) {
+  ir::SecureProgram p;
+  p.name = "Argmax";
+  p.input_ch = logits.dim(1);
+  p.input_h = p.input_w = 1;
+  ir::Op input;
+  input.kind = ir::OpKind::input;
+  input.in_ch = input.out_ch = logits.dim(1);
+  input.in_h = input.in_w = input.out_h = input.out_w = 1;
+  p.ops.push_back(input);
+  p.output = 0;
+  ir::append_argmax(p);
+  ir::ExecOptions opts;
+  opts.input_shares = &logits;
+  return ir::execute(p, ir::CompiledParams{}, ctx, nn::Tensor{}, opts).labels;
+}
+
 /// `p` with every staged op (conv / depthwise / linear / x2act / relu /
-/// maxpool) in a round group of its own — the eager grouping: the
+/// maxpool / argmax) in a round group of its own — the eager grouping: the
 /// executor then flushes after each op, and perf::profile_program prices
 /// exactly that.  Grouping only moves flush points — never a dealer or
 /// PRNG draw — so the per-op program must give the scheduled one's shares

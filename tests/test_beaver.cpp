@@ -212,7 +212,7 @@ TEST(BeaverRounds, FinishIsRingExactForConvDepthwiseAndLinear) {
       const pc::RingVec w = random_ring(prng, sp.nb(), rc);
       pc::BilinearRound r;
       r.stage(ctx, pc::share(x, prng, rc), pc::share(w, prng, rc), sp);
-      ctx.opens().flush();
+      ctx.round_buffer().flush();
       EXPECT_EQ(pc::reconstruct(r.finish(rc), rc), direct_conv(x, w, sp, rc))
           << "bits=" << bits << " depthwise=" << (sp.kind == pc::BilinearKind::depthwise_conv2d)
           << " in=" << sp.in_ch << "x" << sp.in_h << "x" << sp.in_w;
@@ -225,7 +225,7 @@ TEST(BeaverRounds, FinishIsRingExactForConvDepthwiseAndLinear) {
       const pc::RingVec y = random_ring(prng, k * n, rc);
       pc::MatmulRound r;
       r.stage(ctx, pc::share(x, prng, rc), pc::share(y, prng, rc), m, k, n);
-      ctx.opens().flush();
+      ctx.round_buffer().flush();
       pc::RingVec want(m * n, 0);
       for (std::size_t i = 0; i < m; ++i) {
         for (std::size_t j = 0; j < n; ++j) {

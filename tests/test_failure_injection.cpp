@@ -34,8 +34,9 @@ TEST(FailureInjection, SecureConvRejectsWrongWeightShape) {
     conv.weight.assign(10, 0.1);  // fits neither 4x2x3x3 nor 2x3x3
     EXPECT_THROW((void)pasnet::testing::run_single_op(ctx, conv, x), std::invalid_argument)
         << ir::op_kind_name(kind);
-    // The unwound run leaves no stage behind on the reused context.
-    EXPECT_FALSE(ctx.opens().has_pending());
+    // The unwound run leaves no stage of any phase behind on the reused
+    // context.
+    EXPECT_FALSE(ctx.round_buffer().has_pending());
   }
 }
 

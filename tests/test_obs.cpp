@@ -240,7 +240,7 @@ TEST(ObsTracer, SecureInferenceSpansNestPerThread) {
       if (std::string(flush.cat) != "ir" || flush.name != "flush_group") continue;
       for (const obs::TraceEvent& op : evs) {
         if (std::string(op.cat) != "ir" || op.name == "flush_group" ||
-            op.name == "execute_batch" || op.name == "reveal_logits") {
+            op.name == "execute_batch" || op.name == "reveal") {
           continue;
         }
         const bool inside = op.ts_us <= flush.ts_us &&

@@ -41,9 +41,13 @@ perf::LatencyModel model() {
 
 /// Measured vs analytic rounds for one trained model: exact equality for
 /// a single query AND for a K-lane batched chunk (profile_program's
-/// `batch` parameter prices the chunk).
+/// `batch` parameter prices the chunk), of the logits program or the
+/// argmax-terminated classify program.  The measured chunk rounds land in
+/// *rounds_out when given.
 void expect_measured_equals_analytic(nn::ModelDescriptor md, std::uint64_t seed,
-                                     int batch = 1) {
+                                     int batch = 1,
+                                     proto::WorkloadKind kind = proto::WorkloadKind::logits,
+                                     std::uint64_t* rounds_out = nullptr) {
   pc::Prng wprng(seed);
   std::vector<int> node_of_layer;
   auto g = nn::build_graph(md, wprng, &node_of_layer);
@@ -53,6 +57,7 @@ void expect_measured_equals_analytic(nn::ModelDescriptor md, std::uint64_t seed,
   proto::SecureNetwork snet(md, *g, node_of_layer, ctx);
   pc::Prng dprng(seed + 2);
   proto::WorkloadOptions wopts;
+  wopts.kind = kind;
   wopts.batch = batch;
   proto::Workload workload(snet, wopts);
   std::vector<nn::Tensor> queries;
@@ -63,9 +68,10 @@ void expect_measured_equals_analytic(nn::ModelDescriptor md, std::uint64_t seed,
   ASSERT_EQ(workload.chunk_stats().size(), 1u) << md.name;
   const std::uint64_t measured = workload.chunk_stats()[0].totals.rounds;
   const std::uint64_t measured_bytes = workload.chunk_stats()[0].totals.comm_bytes;
+  if (rounds_out != nullptr) *rounds_out = measured;
 
   const auto m = model();
-  const perf::ProgramCost cost = perf::profile_program(m, snet.program(), ctx.ring().bits,
+  const perf::ProgramCost cost = perf::profile_program(m, workload.program(), ctx.ring().bits,
                                                        ctx.ring().wire_bits, batch);
   ASSERT_GT(measured, 0u) << md.name;
   EXPECT_EQ(measured, static_cast<std::uint64_t>(cost.total.rounds))
@@ -117,6 +123,23 @@ TEST(RoundGuard, BatchedChunksMatchAnalyticRoundsExactly) {
                                   /*batch=*/3);
   expect_measured_equals_analytic(tiny_cnn(nn::OpKind::relu, nn::OpKind::avgpool), 420,
                                   /*batch=*/2);
+}
+
+TEST(RoundGuard, ClassifyChunksMatchAnalyticRoundsExactly) {
+  // The argmax terminal is a staged comparison: every lane's tournament
+  // advances in one round group and every lane's index reveals in the
+  // one terminal exchange, so a K-lane classify chunk spends exactly the
+  // rounds of a single query.
+  const auto relu_pool = tiny_cnn(nn::OpKind::relu, nn::OpKind::maxpool);
+  std::uint64_t one = 0, three = 0;
+  expect_measured_equals_analytic(relu_pool, 430, /*batch=*/1, proto::WorkloadKind::classify,
+                                  &one);
+  expect_measured_equals_analytic(relu_pool, 430, /*batch=*/3, proto::WorkloadKind::classify,
+                                  &three);
+  EXPECT_GT(one, 0u);
+  EXPECT_EQ(three, one) << "a K=3 classify chunk must spend the rounds of one query";
+  expect_measured_equals_analytic(tiny_cnn(nn::OpKind::x2act, nn::OpKind::avgpool), 440,
+                                  /*batch=*/2, proto::WorkloadKind::classify);
 }
 
 TEST(RoundGuard, BatchedResNetProxyMeetsRoundReductionTarget) {

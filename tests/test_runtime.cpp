@@ -4,8 +4,11 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
+#include <utility>
 
+#include "crypto/compare.hpp"
 #include "nn/layers.hpp"
 #include "perf/ir_cost.hpp"
 #include "proto/secure_network.hpp"
@@ -49,11 +52,12 @@ TEST(RoundAccounting, CoalescedMultiOpenFlushIsOneRound) {
   const auto c = pc::share(pc::RingVec{6}, prng, ctx.ring());
   ctx.reset_stats();
   pc::RingVec ra, rb, rc_;
-  ctx.opens().stage(a, &ra);
-  ctx.opens().stage(b, &rb);
-  ctx.opens().stage(c, &rc_);
+  pc::RoundBuffer& buf = ctx.round_buffer();
+  buf.stage_open(a, &ra);
+  buf.stage_open(b, &rb);
+  buf.stage_open(c, &rc_);
   EXPECT_EQ(ctx.stats().messages, 0u);  // nothing sent until the flush
-  ctx.opens().flush();
+  EXPECT_EQ(buf.flush(), pc::RoundPhase::opens);
   EXPECT_EQ(ctx.stats().rounds, 1u);
   EXPECT_EQ(ctx.stats().messages, 2u);
   EXPECT_EQ(ra, pc::reconstruct(a, ctx.ring()));
@@ -69,20 +73,59 @@ TEST(RoundAccounting, DiscardDropsPendingStagesAndKeepsBufferUsable) {
   pc::Prng prng(16);
   const auto a = pc::share(pc::RingVec{7, 8}, prng, ctx.ring());
   pc::RingVec ra;
-  ctx.opens().stage(a, &ra);
-  EXPECT_TRUE(ctx.opens().has_pending());
-  ctx.opens().discard();
-  EXPECT_FALSE(ctx.opens().has_pending());
+  pc::RoundBuffer& buf = ctx.round_buffer();
+  buf.stage_open(a, &ra);
+  EXPECT_TRUE(buf.has_pending());
+  buf.discard();
+  EXPECT_FALSE(buf.has_pending());
   ctx.reset_stats();
-  ctx.opens().flush();  // nothing pending: no traffic
+  EXPECT_EQ(buf.flush(), pc::RoundPhase::done);  // nothing pending: no traffic
   EXPECT_EQ(ctx.stats().messages, 0u);
   EXPECT_TRUE(ra.empty());  // the discarded stage never wrote its output
   pc::RingVec rb;
-  ctx.opens().stage(a, &rb);
+  buf.stage_open(a, &rb);
   EXPECT_EQ(ctx.stats().messages, 0u);  // a stage waits for the flush
-  ctx.opens().flush();
+  EXPECT_EQ(buf.flush(), pc::RoundPhase::opens);
   EXPECT_EQ(ctx.stats().rounds, 1u);
   EXPECT_EQ(rb, pc::reconstruct(a, ctx.ring()));
+}
+
+TEST(RoundAccounting, EachFlushRunsOnePhaseInPriorityOrder) {
+  // One stage of every kind, staged ring opening first: successive flushes
+  // run the OT batch (its two-message dance, 2 rounds), then the bit
+  // opening (1 round), then the ring opening (1 round), then nothing.
+  pc::TwoPartyContext ctx;
+  pc::Prng prng(17);
+  const auto ring = pc::share(pc::RingVec{9, 10, 11}, prng, ctx.ring());
+  pc::BitShared bits;
+  bits.b0 = {1, 0, 1, 1, 0, 0, 1, 0, 1};
+  bits.b1 = {0, 0, 1, 0, 1, 1, 1, 0, 0};
+  const std::vector<std::uint8_t> choices{0, 3, 2};
+  std::vector<std::array<std::uint8_t, pc::kOtFanIn>> tables{
+      {10, 11, 12, 13}, {20, 21, 22, 23}, {30, 31, 32, 33}};
+  pc::RingVec opened;
+  std::vector<std::uint8_t> opened_bits, received;
+  pc::RoundBuffer& buf = ctx.round_buffer();
+  buf.stage_open(ring, &opened);
+  buf.stage_bits(bits, &opened_bits);
+  buf.stage_ot(/*sender=*/1, tables, choices, &received, pc::OtMode::dh_masked);
+  ctx.reset_stats();
+
+  const std::vector<std::pair<pc::RoundPhase, std::uint64_t>> expected{
+      {pc::RoundPhase::ot, 2}, {pc::RoundPhase::bits, 1}, {pc::RoundPhase::opens, 1}};
+  for (const auto& [phase, rounds] : expected) {
+    EXPECT_TRUE(buf.has_pending());
+    const std::uint64_t before = ctx.stats().rounds;
+    EXPECT_EQ(buf.flush(), phase);
+    EXPECT_EQ(ctx.stats().rounds - before, rounds) << static_cast<int>(phase);
+  }
+  EXPECT_FALSE(buf.has_pending());
+  EXPECT_EQ(buf.flush(), pc::RoundPhase::done);
+  EXPECT_EQ(ctx.stats().rounds, 4u);
+
+  EXPECT_EQ(received, (std::vector<std::uint8_t>{10, 23, 32}));
+  EXPECT_EQ(opened_bits, pc::reconstruct_bits(bits));
+  EXPECT_EQ(opened, pc::reconstruct(ring, ctx.ring()));
 }
 
 TEST(RoundAccounting, MeasuredConvRoundsMatchAnalyticUnderCoalescing) {

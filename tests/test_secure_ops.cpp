@@ -241,7 +241,7 @@ TEST(SecureArgmax, TieBreaksToLowestIndexBothContexts) {
     for (int c = 0; c < 6; ++c) logits[static_cast<std::size_t>(r * 6 + c)] = rows[r][c];
   }
   const auto sx = proto::share_tensor(logits, prng, ctx.ring());
-  const auto got = proto::secure_argmax(ctx, sx, proto::SecureConfig{});
+  const auto got = pasnet::testing::run_argmax(ctx, sx);
   EXPECT_EQ(got, (std::vector<int>{1, 0, 2}));
 }
 
@@ -255,7 +255,7 @@ TEST(SecureArgmax, TieAcrossOddTailEntry) {
   const float vals[5] = {0.0f, 3.0f, -1.0f, 0.5f, 3.0f};  // max at 1 and 4 -> 1
   for (int c = 0; c < 5; ++c) logits[static_cast<std::size_t>(c)] = vals[c];
   const auto sx = proto::share_tensor(logits, prng, ctx.ring());
-  EXPECT_EQ(proto::secure_argmax(ctx, sx, proto::SecureConfig{}), (std::vector<int>{1}));
+  EXPECT_EQ(pasnet::testing::run_argmax(ctx, sx), (std::vector<int>{1}));
 }
 
 TEST(SecureAvgpool, MatchesPlaintext) {
