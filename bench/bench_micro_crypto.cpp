@@ -57,6 +57,39 @@ void bm_square(benchmark::State& state) {
 }
 BENCHMARK(bm_square)->Arg(16384);
 
+void bm_round_flush(benchmark::State& state) {
+  // One masked round group of n words per iteration: four x − mask stages
+  // of n/4 words (one per lane of a K = 4 chunk) staged into the round
+  // buffer and opened by one flush into fresh outputs, as a Beaver round's
+  // E/F would be.  n = 147,712 is the K = 4 group size of the poly_batch
+  // serving workload.
+  pc::TwoPartyContext ctx;
+  const pc::RingConfig& rc = ctx.ring();
+  pc::Prng prng(4);
+  const auto n = static_cast<std::size_t>(state.range(0));
+  constexpr std::size_t kStages = 4;
+  std::vector<pc::Shared> xs, masks;
+  for (std::size_t i = 0; i < kStages; ++i) {
+    pc::RingVec x(n / kStages), mask(n / kStages);
+    for (auto& e : x) e = prng.next_u64() & rc.mask();
+    for (auto& e : mask) e = prng.next_u64() & rc.mask();
+    xs.push_back(pc::share(x, prng, rc));
+    masks.push_back(pc::share(mask, prng, rc));
+  }
+  pc::RoundBuffer& buf = ctx.round_buffer();
+  for (auto _ : state) {
+    std::vector<pc::RingVec> out(kStages);
+    for (std::size_t i = 0; i < kStages; ++i) buf.stage_open(xs[i], masks[i], &out[i]);
+    buf.flush();
+    benchmark::DoNotOptimize(out.back().data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+  state.counters["words_per_s"] = benchmark::Counter(
+      static_cast<double>(state.iterations() * state.range(0)), benchmark::Counter::kIsRate);
+}
+BENCHMARK(bm_round_flush)->Arg(4096)->Arg(147712);
+
 void bm_drelu_correlated(benchmark::State& state) {
   pc::TwoPartyContext ctx;
   pc::Prng prng(4);

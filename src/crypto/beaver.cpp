@@ -1,6 +1,7 @@
 #include "crypto/beaver.hpp"
 
 #include <stdexcept>
+#include <utility>
 
 #include "crypto/ring_kernels.hpp"
 
@@ -20,15 +21,13 @@ RingVec add_vecs(const RingVec& a, const RingVec& b, const RingConfig& rc) {
   return out;
 }
 
-/// z_p = base_p + x_p − x_peer (the cross-term completion shared by every
-/// arithmetic triple kind).
-RingVec complete_half(const RingVec& base, const RingVec& x_own, const RingVec& x_peer,
-                      const RingConfig& rc) {
-  RingVec out(base.size());
+/// z_p = base_p + x_p − x_peer in place over base_p (the cross-term
+/// completion shared by every arithmetic triple kind).
+void complete_half(RingVec& base, const RingVec& x_own, const RingVec& x_peer,
+                   const RingConfig& rc) {
   for (std::size_t i = 0; i < base.size(); ++i) {
-    out[i] = (base[i] + x_own[i] - x_peer[i]) & rc.mask();
+    base[i] = (base[i] + x_own[i] - x_peer[i]) & rc.mask();
   }
-  return out;
 }
 
 }  // namespace
@@ -81,21 +80,24 @@ BitHalf draw_bit_half(Prng& prng, std::size_t n) {
 }
 
 ElemTriple TripleDealer::elem_triple(std::size_t n) {
-  const ElemHalf h0 = draw_elem_half(prng0_, n, rc_);
-  const ElemHalf h1 = draw_elem_half(prng1_, n, rc_);
+  ElemHalf h0 = draw_elem_half(prng0_, n, rc_);
+  ElemHalf h1 = draw_elem_half(prng1_, n, rc_);
   const RingVec a = add_vecs(h0.a, h1.a, rc_);
+  RingVec z0 = mul_vec(a, h0.b, rc_);
+  RingVec z1 = mul_vec(a, h1.b, rc_);
+  complete_half(z0, h0.x, h1.x, rc_);
+  complete_half(z1, h1.x, h0.x, rc_);
   ElemTriple t;
-  t.a = Shared{h0.a, h1.a};
-  t.b = Shared{h0.b, h1.b};
-  t.z = Shared{complete_half(mul_vec(a, h0.b, rc_), h0.x, h1.x, rc_),
-               complete_half(mul_vec(a, h1.b, rc_), h1.x, h0.x, rc_)};
+  t.a = Shared{std::move(h0.a), std::move(h1.a)};
+  t.b = Shared{std::move(h0.b), std::move(h1.b)};
+  t.z = Shared{std::move(z0), std::move(z1)};
   counters_.elem_triples += n;
   return t;
 }
 
 SquarePair TripleDealer::square_pair(std::size_t n) {
-  const SquareHalf h0 = draw_square_half(prng0_, 0, n, rc_);
-  const SquareHalf h1 = draw_square_half(prng1_, 1, n, rc_);
+  SquareHalf h0 = draw_square_half(prng0_, 0, n, rc_);
+  SquareHalf h1 = draw_square_half(prng1_, 1, n, rc_);
   // z = (a0+a1)²: party 0 keeps a0² + 2·x0, party 1 keeps
   // a1² + 2·(a0⊙a1 − x0) — a single cross term, so one OT direction
   // suffices in the 2PC generator.
@@ -107,36 +109,35 @@ SquarePair TripleDealer::square_pair(std::size_t n) {
     z1[i] = (z1[i] + 2 * (cross[i] - h0.x[i])) & rc_.mask();
   }
   SquarePair p;
-  p.a = Shared{h0.a, h1.a};
+  p.a = Shared{std::move(h0.a), std::move(h1.a)};
   p.z = Shared{std::move(z0), std::move(z1)};
   counters_.square_pairs += n;
   return p;
 }
 
 MatmulTriple TripleDealer::matmul_triple(std::size_t m, std::size_t k, std::size_t n) {
-  const MatmulHalf h0 = draw_matmul_half(prng0_, m, k, n, rc_);
-  const MatmulHalf h1 = draw_matmul_half(prng1_, m, k, n, rc_);
+  MatmulHalf h0 = draw_matmul_half(prng0_, m, k, n, rc_);
+  MatmulHalf h1 = draw_matmul_half(prng1_, m, k, n, rc_);
   const RingVec a = add_vecs(h0.a, h1.a, rc_);
+  RingVec z0 = ring_matmul(a, h0.b, m, k, n, rc_);
+  RingVec z1 = ring_matmul(a, h1.b, m, k, n, rc_);
+  complete_half(z0, h0.x, h1.x, rc_);
+  complete_half(z1, h1.x, h0.x, rc_);
   MatmulTriple t;
   t.m = m;
   t.k = k;
   t.n = n;
-  t.a = Shared{h0.a, h1.a};
-  t.b = Shared{h0.b, h1.b};
-  t.z = Shared{complete_half(ring_matmul(a, h0.b, m, k, n, rc_), h0.x, h1.x, rc_),
-               complete_half(ring_matmul(a, h1.b, m, k, n, rc_), h1.x, h0.x, rc_)};
+  t.a = Shared{std::move(h0.a), std::move(h1.a)};
+  t.b = Shared{std::move(h0.b), std::move(h1.b)};
+  t.z = Shared{std::move(z0), std::move(z1)};
   counters_.matmul_triple_elems += m * k + k * n + m * n;
   return t;
 }
 
 BitTriple TripleDealer::bit_triple(std::size_t n) {
-  const BitHalf h0 = draw_bit_half(prng0_, n);
-  const BitHalf h1 = draw_bit_half(prng1_, n);
+  BitHalf h0 = draw_bit_half(prng0_, n);
+  BitHalf h1 = draw_bit_half(prng1_, n);
   BitTriple t;
-  t.a0 = h0.a;
-  t.a1 = h1.a;
-  t.b0 = h0.b;
-  t.b1 = h1.b;
   t.c0.resize(n);
   t.c1.resize(n);
   // c_p = (a_p & b_p) ^ x_p ^ (b_p & a_peer) ^ x_peer; the x's cancel in
@@ -145,20 +146,25 @@ BitTriple TripleDealer::bit_triple(std::size_t n) {
     t.c0[i] = (h0.a[i] & h0.b[i]) ^ h0.x[i] ^ (h0.b[i] & h1.a[i]) ^ h1.x[i];
     t.c1[i] = (h1.a[i] & h1.b[i]) ^ h1.x[i] ^ (h1.b[i] & h0.a[i]) ^ h0.x[i];
   }
+  t.a0 = std::move(h0.a);
+  t.a1 = std::move(h1.a);
+  t.b0 = std::move(h0.b);
+  t.b1 = std::move(h1.b);
   counters_.bit_triples += n;
   return t;
 }
 
-BilinearTriple TripleDealer::assemble_bilinear(const BilinearHalf& h0, const BilinearHalf& h1,
-                                               const RingVec& f0, const RingVec& f1,
-                                               std::size_t nz) const {
+BilinearTriple TripleDealer::assemble_bilinear(BilinearHalf h0, BilinearHalf h1, RingVec f0,
+                                               RingVec f1, std::size_t nz) const {
   if (f0.size() != nz || f1.size() != nz) {
     throw std::invalid_argument("bilinear_triple: nz does not match f's output size");
   }
+  complete_half(f0, h0.x, h1.x, rc_);
+  complete_half(f1, h1.x, h0.x, rc_);
   BilinearTriple t;
-  t.a = Shared{h0.a, h1.a};
-  t.b = Shared{h0.b, h1.b};
-  t.z = Shared{complete_half(f0, h0.x, h1.x, rc_), complete_half(f1, h1.x, h0.x, rc_)};
+  t.a = Shared{std::move(h0.a), std::move(h1.a)};
+  t.b = Shared{std::move(h0.b), std::move(h1.b)};
+  t.z = Shared{std::move(f0), std::move(f1)};
   return t;
 }
 

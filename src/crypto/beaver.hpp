@@ -30,6 +30,7 @@
 // consumed so experiments can report offline cost.
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "crypto/prng.hpp"
@@ -147,13 +148,14 @@ class TripleDealer {
   template <typename F>
   [[nodiscard]] BilinearTriple bilinear_triple(std::size_t na, std::size_t nb,
                                                std::size_t nz, F&& f) {
-    const BilinearHalf h0 = draw_bilinear_half(prng0_, na, nb, nz, rc_);
-    const BilinearHalf h1 = draw_bilinear_half(prng1_, na, nb, nz, rc_);
+    BilinearHalf h0 = draw_bilinear_half(prng0_, na, nb, nz, rc_);
+    BilinearHalf h1 = draw_bilinear_half(prng1_, na, nb, nz, rc_);
     RingVec a(na);
     for (std::size_t i = 0; i < na; ++i) a[i] = (h0.a[i] + h1.a[i]) & rc_.mask();
-    const RingVec f0 = f(a, h0.b);
-    const RingVec f1 = f(a, h1.b);
-    BilinearTriple t = assemble_bilinear(h0, h1, f0, f1, nz);
+    RingVec f0 = f(a, h0.b);
+    RingVec f1 = f(a, h1.b);
+    BilinearTriple t =
+        assemble_bilinear(std::move(h0), std::move(h1), std::move(f0), std::move(f1), nz);
     counters_.bilinear_triple_elems += na + nb + nz;
     return t;
   }
@@ -163,10 +165,10 @@ class TripleDealer {
   [[nodiscard]] const RingConfig& ring() const noexcept { return rc_; }
 
  private:
-  /// z_p = f(A, b_p) + x_p − x_peer for both parties, with shape checks.
-  [[nodiscard]] BilinearTriple assemble_bilinear(const BilinearHalf& h0,
-                                                 const BilinearHalf& h1, const RingVec& f0,
-                                                 const RingVec& f1, std::size_t nz) const;
+  /// z_p = f(A, b_p) + x_p − x_peer for both parties, with shape checks:
+  /// completes each f_p in place and moves the halves into the triple.
+  [[nodiscard]] BilinearTriple assemble_bilinear(BilinearHalf h0, BilinearHalf h1, RingVec f0,
+                                                 RingVec f1, std::size_t nz) const;
 
   RingConfig rc_;
   Prng prng0_;

@@ -1,6 +1,7 @@
 #include "crypto/channel.hpp"
 
-#include <cstring>
+#include "crypto/ring_kernels.hpp"
+
 #include <deque>
 #include <mutex>
 #include <thread>
@@ -11,28 +12,35 @@ namespace pasnet::crypto {
 // Endpoint-API conveniences (shared by every backend)
 // ---------------------------------------------------------------------------
 
-void Channel::send_bytes(const std::vector<std::uint8_t>& data) {
-  std::vector<std::uint8_t> copy = data;
-  do_send(std::move(copy), data.size());
+void Channel::send_bytes(std::vector<std::uint8_t> data) {
+  const std::uint64_t wire_bytes = data.size();
+  do_send(std::move(data), wire_bytes);
 }
 
 std::vector<std::uint8_t> Channel::recv_bytes() { return do_recv(); }
 
+// Each ring message is accounted at the modeled wire width rather than the
+// in-memory width.
 void Channel::send_ring(const RingVec& v, int wire_bytes_per_elem) {
-  std::vector<std::uint8_t> buf(v.size() * sizeof(std::uint64_t));
-  if (!v.empty()) std::memcpy(buf.data(), v.data(), buf.size());
-  // Account for the modeled wire width rather than the in-memory width.
-  do_send(std::move(buf), v.size() * static_cast<std::uint64_t>(wire_bytes_per_elem));
+  do_send_word_copy(v, v.size() * static_cast<std::uint64_t>(wire_bytes_per_elem));
+}
+
+void Channel::send_ring(RingVec&& v, int wire_bytes_per_elem) {
+  const std::uint64_t wire_bytes = v.size() * static_cast<std::uint64_t>(wire_bytes_per_elem);
+  do_send_words(std::move(v), wire_bytes);
 }
 
 RingVec Channel::recv_ring(std::size_t n, int /*wire_bytes_per_elem*/) {
-  auto buf = do_recv();
-  if (buf.size() != n * sizeof(std::uint64_t)) {
-    throw std::logic_error("Channel::recv_ring: message size mismatch");
-  }
-  RingVec v(n);
-  if (n > 0) std::memcpy(v.data(), buf.data(), buf.size());
+  RingVec v = do_recv_words();
+  if (v.size() != n) throw std::logic_error("Channel::recv_ring: message size mismatch");
   return v;
+}
+
+void Channel::recv_ring_add(RingVec& acc, std::uint64_t mask) { do_recv_words_add(acc, mask); }
+
+void Channel::do_recv_words_add(RingVec& acc, std::uint64_t mask) {
+  const RingVec v = recv_ring(acc.size());
+  kern::add(acc.data(), acc.data(), v.data(), acc.size(), mask);
 }
 
 void Channel::send_u64(std::uint64_t v) { send_ring(RingVec{v}); }
@@ -47,12 +55,16 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
+/// One in-flight message: a byte or a word vector, moved in by the sender
+/// and moved out by the receiver.
 struct Message {
-  std::vector<std::uint8_t> data;
+  std::vector<std::uint8_t> bytes;
+  RingVec words;
+  bool is_words = false;
   Clock::time_point due;  // in-flight deadline: enqueue time + round_delay
 };
 
-/// The in-process pair: two endpoints over a shared pair of byte queues
+/// The in-process pair: two endpoints over a shared pair of message queues
 /// plus one shared meter.
 class LocalChannel final : public Channel {
  public:
@@ -114,6 +126,26 @@ class LocalChannel final : public Channel {
 
  protected:
   void do_send(std::vector<std::uint8_t>&& data, std::uint64_t wire_bytes) override {
+    Message msg;
+    msg.bytes = std::move(data);
+    enqueue(std::move(msg), wire_bytes);
+  }
+
+  void do_send_words(RingVec&& words, std::uint64_t wire_bytes) override {
+    Message msg;
+    msg.words = std::move(words);
+    msg.is_words = true;
+    enqueue(std::move(msg), wire_bytes);
+  }
+
+  [[nodiscard]] std::vector<std::uint8_t> do_recv() override {
+    return dequeue(/*words=*/false).bytes;
+  }
+
+  [[nodiscard]] RingVec do_recv_words() override { return dequeue(/*words=*/true).words; }
+
+ private:
+  void enqueue(Message&& msg, std::uint64_t wire_bytes) {
     const int peer = 1 - party_;
     const std::lock_guard<std::mutex> lk(shared_->m);
     obs::Tracer* const tr =
@@ -122,8 +154,6 @@ class LocalChannel final : public Channel {
     // Stamp the in-flight deadline: the message becomes receivable one
     // modeled one-way delay after it is sent.  The sender never sleeps, so
     // all messages of one round share (roughly) one deadline and overlap.
-    Message msg;
-    msg.data = std::move(data);
     msg.due = shared_->round_delay.count() > 0 ? Clock::now() + shared_->round_delay
                                                : Clock::time_point{};
     shared_->inbox[peer].push_back(std::move(msg));
@@ -153,16 +183,22 @@ class LocalChannel final : public Channel {
     }
   }
 
-  [[nodiscard]] std::vector<std::uint8_t> do_recv() override {
+  /// Pops the oldest message, which must be of the requested kind (a
+  /// mismatch leaves it queued and throws).
+  Message dequeue(bool words) {
     std::unique_lock<std::mutex> lk(shared_->m);
     obs::Tracer* const tr =
         (shared_->tracer && shared_->tracer->enabled()) ? shared_->tracer : nullptr;
     auto& inbox = shared_->inbox[party_];
     if (inbox.empty()) {
-      if (shared_->closed) throw ChannelClosed("Channel::recv_bytes: channel closed");
-      throw std::logic_error("Channel::recv_bytes: no pending message (protocol ordering bug)");
+      if (shared_->closed) throw ChannelClosed("Channel::recv: channel closed");
+      throw std::logic_error("Channel::recv: no pending message (protocol ordering bug)");
     }
-    auto msg = std::move(inbox.front());
+    if (inbox.front().is_words != words) {
+      throw std::logic_error(words ? "Channel::recv_ring: pending message is a byte message"
+                                   : "Channel::recv_bytes: pending message is a word message");
+    }
+    Message msg = std::move(inbox.front());
     inbox.pop_front();
     lk.unlock();
     // Honour the in-flight deadline off the lock: the receiver cannot
@@ -180,10 +216,9 @@ class LocalChannel final : public Channel {
         }
       }
     }
-    return msg.data;
+    return msg;
   }
 
- private:
   int party_ = 0;
   std::shared_ptr<Shared> shared_;
 };

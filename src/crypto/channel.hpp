@@ -9,16 +9,25 @@
 // src/perf, and what makes bytes/rounds measured over a real TCP
 // connection directly comparable to the in-process pair's.
 //
+// Messages come in two kinds: byte messages (send_bytes/recv_bytes) and
+// word messages — vectors of ring elements (send_ring/recv_ring).  A
+// message must be received as the kind it was sent as; a mismatch is a
+// protocol bug and throws std::logic_error.
+//
 // Two backends:
 //  - the in-process pair (Channel::make_pair): two endpoints over a shared
-//    pair of byte queues, driven by one thread in protocol order.  `recv`
-//    on an empty inbox is a protocol ordering bug and throws immediately.
-//    Fully deterministic.
+//    pair of message queues, driven by one thread in protocol order.
+//    `recv` on an empty inbox is a protocol ordering bug and throws
+//    immediately.  Fully deterministic.  Messages travel as the vectors
+//    themselves: a moved-in byte or word vector is the very buffer the
+//    peer receives, so a ring opening copies no word in transit.
 //  - net::TransportChannel (src/net): the same endpoint API over a real
 //    socket transport, one endpoint per OS process; its recv blocks on the
-//    wire.  Each endpoint's meter accounts both directions (own sends at
-//    send time, the peer's at recv time), so a remote endpoint's
-//    TrafficStats equal the in-process pair's for the same protocol run.
+//    wire.  Each message is serialised into one frame (words as 8-byte
+//    little-endian values).  Each endpoint's meter accounts both
+//    directions (own sends at send time, the peer's at recv time), so a
+//    remote endpoint's TrafficStats equal the in-process pair's for the
+//    same protocol run.
 
 #include <chrono>
 #include <cstdint>
@@ -80,21 +89,32 @@ class Channel {
   Channel(const Channel&) = delete;
   Channel& operator=(const Channel&) = delete;
 
-  /// Sends a raw byte message to the peer.  A transport endpoint may block
-  /// on socket back-pressure; the in-process pair never blocks.
-  void send_bytes(const std::vector<std::uint8_t>& data);
-  /// Receives the oldest pending byte message.  The in-process pair throws
-  /// std::logic_error if the inbox is empty (protocol ordering bug) and
-  /// otherwise honours the message's modeled in-flight deadline (see
-  /// ChannelOptions::round_delay); a transport endpoint waits for the
-  /// message on the wire.
+  /// Sends a raw byte message to the peer; pass an rvalue to hand the
+  /// buffer over without a copy.  A transport endpoint may block on socket
+  /// back-pressure; the in-process pair never blocks.
+  void send_bytes(std::vector<std::uint8_t> data);
+  /// Receives the oldest pending message, which must be a byte message.
+  /// The in-process pair throws std::logic_error if the inbox is empty
+  /// (protocol ordering bug) and otherwise honours the message's modeled
+  /// in-flight deadline (see ChannelOptions::round_delay); a transport
+  /// endpoint waits for the message on the wire.
   [[nodiscard]] std::vector<std::uint8_t> recv_bytes();
 
-  /// Convenience: send/recv a vector of ring elements, 8 bytes each in
-  /// memory.  `wire_bytes_per_elem` models the on-wire width (e.g. 4 for a
-  /// 32-bit ring) for traffic accounting while keeping u64 storage.
+  /// Word messages: a vector of ring elements, 8 bytes each in memory.
+  /// `wire_bytes_per_elem` models the on-wire width (e.g. 4 for a 32-bit
+  /// ring) for traffic accounting while keeping u64 storage.  The rvalue
+  /// overload hands the vector itself to the in-process peer, and
+  /// recv_ring there returns that same buffer; a transport endpoint
+  /// serialises from the caller's vector either way.
   void send_ring(const RingVec& v, int wire_bytes_per_elem = 8);
+  void send_ring(RingVec&& v, int wire_bytes_per_elem = 8);
+  /// Receives a word message of exactly n elements (std::logic_error on
+  /// any other size).
   [[nodiscard]] RingVec recv_ring(std::size_t n, int wire_bytes_per_elem = 8);
+  /// Receives a word message of exactly acc.size() elements and adds it
+  /// into acc, reducing with `mask` (RingConfig::mask()).  A transport
+  /// endpoint adds straight from the received frame.
+  void recv_ring_add(RingVec& acc, std::uint64_t mask);
 
   /// Convenience: single u64 value.
   void send_u64(std::uint64_t v);
@@ -140,12 +160,26 @@ class Channel {
  protected:
   Channel() = default;
 
-  /// Backend primitive: delivers one framed message to the peer, crediting
+  /// Backend primitive: delivers one byte message to the peer, crediting
   /// `wire_bytes` (the modeled on-wire size, which may differ from
   /// data.size()) to the meter.
   virtual void do_send(std::vector<std::uint8_t>&& data, std::uint64_t wire_bytes) = 0;
-  /// Backend primitive: receives the next framed message.
+  /// Backend primitive: receives the next message, which must be a byte
+  /// message.
   [[nodiscard]] virtual std::vector<std::uint8_t> do_recv() = 0;
+  /// Backend primitive: delivers one word message, taking the vector.
+  virtual void do_send_words(RingVec&& words, std::uint64_t wire_bytes) = 0;
+  /// Delivers a copy of `words`; a backend that serialises anyway
+  /// overrides this to skip the intermediate vector.
+  virtual void do_send_word_copy(const RingVec& words, std::uint64_t wire_bytes) {
+    do_send_words(RingVec(words), wire_bytes);
+  }
+  /// Backend primitive: receives the next message, which must be a word
+  /// message.
+  [[nodiscard]] virtual RingVec do_recv_words() = 0;
+  /// Receives an acc.size()-word message into acc (+= mod mask); a
+  /// backend holding the words in a frame overrides this to add in place.
+  virtual void do_recv_words_add(RingVec& acc, std::uint64_t mask);
 
   /// The endpoint's meter; backends allocate it (pair-shared in process,
   /// per-endpoint over a transport).

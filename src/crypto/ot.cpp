@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstring>
 #include <stdexcept>
+#include <utility>
 
 #include "crypto/ot_ext.hpp"  // otx::OtExtError, the peer-frame error type
 
@@ -222,7 +223,7 @@ std::vector<std::uint8_t> ot_ideal(TwoPartyContext& ctx, int sender,
   if (ctx.runs(receiver)) {
     std::vector<std::uint8_t> msg(n * 8, 0);
     for (std::size_t t = 0; t < n; ++t) msg[t * 8] = choices[t];
-    ctx.chan(receiver).send_bytes(msg);
+    ctx.chan(receiver).send_bytes(std::move(msg));
   }
   if (ctx.runs(sender)) {
     const std::vector<std::uint8_t> msg = ctx.chan(sender).recv_bytes();
@@ -233,7 +234,7 @@ std::vector<std::uint8_t> ot_ideal(TwoPartyContext& ctx, int sender,
       if (c >= kOtFanIn) throw otx::OtExtError("ot_1of4: choice out of range on the wire");
       reply[8 + t * kOtFanIn + c] = tables[t][c];
     }
-    ctx.chan(sender).send_bytes(reply);
+    ctx.chan(sender).send_bytes(std::move(reply));
   }
   if (ctx.runs(receiver)) {
     const std::vector<std::uint8_t> reply = ctx.chan(receiver).recv_bytes();

@@ -3,6 +3,7 @@
 #include "crypto/ot.hpp"
 #include "crypto/ring_kernels.hpp"
 
+#include <algorithm>
 #include <chrono>
 #include <cstring>
 #include <random>
@@ -229,9 +230,10 @@ void RoundBuffer::flush_bits() {
     msg0.insert(msg0.end(), p0.begin(), p0.end());
     msg1.insert(msg1.end(), p1.begin(), p1.end());
   }
+  const std::size_t msg_size = msg0.size();
   std::vector<std::uint8_t> from0, from1;
-  ctx_.exchange([&] { ctx_.chan(0).send_bytes(msg0); },
-                [&] { ctx_.chan(1).send_bytes(msg1); },
+  ctx_.exchange([&] { ctx_.chan(0).send_bytes(std::move(msg0)); },
+                [&] { ctx_.chan(1).send_bytes(std::move(msg1)); },
                 [&] { from1 = ctx_.chan(0).recv_bytes(); },
                 [&] { from0 = ctx_.chan(1).recv_bytes(); });
   // Reconstruct from the local share and the peer's received packed bits.
@@ -240,7 +242,7 @@ void RoundBuffer::flush_bits() {
   // own half live.
   const bool local_is_1 = ctx_.local_party() == 1;
   const std::vector<std::uint8_t>& peer_msg = local_is_1 ? from0 : from1;
-  if (peer_msg.size() != msg0.size()) {
+  if (peer_msg.size() != msg_size) {
     throw std::logic_error("RoundBuffer::flush: bit-opening transcript size mismatch");
   }
   std::size_t byte_off = 0;
@@ -257,28 +259,81 @@ void RoundBuffer::flush_bits() {
   bits_.clear();
 }
 
+std::size_t RoundBuffer::claim_slab(std::size_t n) {
+  const std::size_t off = slab_used_;
+  slab_used_ += n;
+  if (slab_.s0.size() < slab_used_ || slab_.s1.size() < slab_used_) {
+    slab_.s0.resize(slab_used_);
+    slab_.s1.resize(slab_used_);
+  }
+  return off;
+}
+
+void RoundBuffer::stage_open(const Shared& x, const Shared& mask, RingVec* out) {
+  const std::size_t n = x.size();
+  if (x.s1.size() != n || mask.s0.size() != n || mask.s1.size() != n) {
+    throw std::invalid_argument("RoundBuffer::stage_open: mask size mismatch");
+  }
+  const std::uint64_t m = ctx_.ring().mask();
+  const std::size_t off = claim_slab(n);
+  kern::sub(slab_.s0.data() + off, x.s0.data(), mask.s0.data(), n, m);
+  kern::sub(slab_.s1.data() + off, x.s1.data(), mask.s1.data(), n, m);
+  opens_.push_back(PendingOpen{n, out});
+}
+
+void RoundBuffer::stage_open(const Shared& x, RingVec* out) {
+  const std::size_t n = x.size();
+  if (x.s1.size() != n) throw std::invalid_argument("RoundBuffer::stage_open: share size mismatch");
+  const std::size_t off = claim_slab(n);
+  std::copy(x.s0.begin(), x.s0.end(), slab_.s0.begin() + static_cast<long>(off));
+  std::copy(x.s1.begin(), x.s1.end(), slab_.s1.begin() + static_cast<long>(off));
+  opens_.push_back(PendingOpen{n, out});
+}
+
 void RoundBuffer::flush_opens() {
   if (obs::Tracer* const t = ctx_.tracer()) {
     t->add(obs::Counter::openings, opens_.size());
     t->add(obs::Counter::open_flushes, 1);
   }
-  // Concatenate every staged vector and open the lot in one exchange; the
-  // bytes on the wire are identical to separate opens, the rounds are not.
-  std::size_t total = 0;
-  for (const PendingOpen& p : opens_) total += p.x.size();
-  Shared all;
-  all.s0.reserve(total);
-  all.s1.reserve(total);
-  for (const PendingOpen& p : opens_) {
-    all.s0.insert(all.s0.end(), p.x.s0.begin(), p.x.s0.end());
-    all.s1.insert(all.s1.end(), p.x.s1.begin(), p.x.s1.end());
+  // One exchange opens every staged vector: the bytes on the wire are
+  // identical to separate opens, the rounds are not.  Words a larger
+  // earlier flush left past this round's end are cut first (shrinking
+  // keeps the capacity).
+  const std::size_t total = slab_used_;
+  slab_used_ = 0;
+  slab_.s0.resize(total);
+  slab_.s1.resize(total);
+  const int wb = ctx_.wire_bytes();
+  const std::uint64_t mask = ctx_.ring().mask();
+  const RingVec* opened = nullptr;
+  if (ctx_.local_party() < 0) {
+    // In process each share vector moves to the peer as it is; party 0's
+    // received buffer takes the sum, and both received buffers are the
+    // next slab.
+    RingVec from0, from1;
+    ctx_.exchange([&] { ctx_.chan(0).send_ring(std::move(slab_.s0), wb); },
+                  [&] { ctx_.chan(1).send_ring(std::move(slab_.s1), wb); },
+                  [&] { from1 = ctx_.chan(0).recv_ring(total, wb); },
+                  [&] { from0 = ctx_.chan(1).recv_ring(total, wb); });
+    kern::add(from1.data(), from1.data(), from0.data(), total, mask);
+    slab_.s0 = std::move(from0);
+    slab_.s1 = std::move(from1);
+    opened = &slab_.s1;
+  } else {
+    // Remote: the local share goes out from the slab and the peer's is
+    // added into it, the same public value the other process computes.
+    RingVec& own = ctx_.local_party() == 0 ? slab_.s0 : slab_.s1;
+    ctx_.exchange([&] { ctx_.chan(0).send_ring(own, wb); },
+                  [&] { ctx_.chan(1).send_ring(own, wb); },
+                  [&] { ctx_.chan(0).recv_ring_add(own, mask); },
+                  [&] { ctx_.chan(1).recv_ring_add(own, mask); });
+    opened = &own;
   }
-  const RingVec opened = open(ctx_, all);
   std::size_t off = 0;
   for (const PendingOpen& p : opens_) {
-    p.out->assign(opened.begin() + static_cast<long>(off),
-                  opened.begin() + static_cast<long>(off + p.x.size()));
-    off += p.x.size();
+    p.out->assign(opened->begin() + static_cast<long>(off),
+                  opened->begin() + static_cast<long>(off + p.n));
+    off += p.n;
   }
   opens_.clear();
 }
@@ -288,18 +343,12 @@ void RoundBuffer::flush_opens() {
 // ---------------------------------------------------------------------------
 
 RingVec open(TwoPartyContext& ctx, const Shared& x) {
-  const int wb = ctx.wire_bytes();
-  // Both directions in one parallel round.  In a remote context only the
-  // local half runs: the local share goes out, the peer's
-  // arrives, and the sum is the same public value either process computes.
-  RingVec from0, from1;
-  ctx.exchange([&] { ctx.chan(0).send_ring(x.s0, wb); },
-               [&] { ctx.chan(1).send_ring(x.s1, wb); },
-               [&] { from1 = ctx.chan(0).recv_ring(x.size(), wb); },
-               [&] { from0 = ctx.chan(1).recv_ring(x.size(), wb); });
-  if (ctx.local_party() == 0) return add_vec(x.s0, from1, ctx.ring());
-  if (ctx.local_party() == 1) return add_vec(from0, x.s1, ctx.ring());
-  return add_vec(from0, from1, ctx.ring());
+  RoundBuffer& buf = ctx.round_buffer();
+  if (buf.has_pending()) throw std::logic_error("open: the round buffer has pending stages");
+  RingVec out;
+  buf.stage_open(x, &out);
+  buf.flush();
+  return out;
 }
 
 void MulRound::stage(TwoPartyContext& ctx, Shared x, Shared y) {
@@ -311,13 +360,12 @@ void MulRound::stage(TwoPartyContext& ctx, Shared x, Shared y) {
 void MulRound::stage(TwoPartyContext& ctx, Shared x, Shared y, ElemTriple t) {
   if (x.size() != y.size()) throw std::invalid_argument("mul_elem: size mismatch");
   if (t.a.size() != x.size()) throw std::invalid_argument("mul_elem: triple size mismatch");
-  const RingConfig& rc = ctx.ring();
   t_ = std::move(t);
   x_ = std::move(x);
   y_ = std::move(y);
   // E = X - A, F = Y - B; opened jointly.
-  ctx.round_buffer().stage_open(sub(x_, t_.a, rc), &e_);
-  ctx.round_buffer().stage_open(sub(y_, t_.b, rc), &f_);
+  ctx.round_buffer().stage_open(x_, t_.a, &e_);
+  ctx.round_buffer().stage_open(y_, t_.b, &f_);
 }
 
 Shared MulRound::finish(const RingConfig& rc) {
@@ -337,7 +385,7 @@ Shared MulRound::finish(const RingConfig& rc) {
 
 void SquareRound::stage(TwoPartyContext& ctx, const Shared& x) {
   p_ = ctx.triples().square_pair(x.size());
-  ctx.round_buffer().stage_open(sub(x, p_.a, ctx.ring()), &e_);
+  ctx.round_buffer().stage_open(x, p_.a, &e_);
 }
 
 Shared SquareRound::finish(const RingConfig& rc) {
@@ -359,15 +407,14 @@ void MatmulRound::stage(TwoPartyContext& ctx, Shared x, Shared y, std::size_t m,
   if (x.size() != m * k || y.size() != k * n) {
     throw std::invalid_argument("matmul: shape mismatch");
   }
-  const RingConfig& rc = ctx.ring();
   t_ = ctx.triples().matmul_triple(m, k, n);
   x_ = std::move(x);
   y_ = std::move(y);
   m_ = m;
   k_ = k;
   n_ = n;
-  ctx.round_buffer().stage_open(sub(x_, t_.a, rc), &e_);
-  ctx.round_buffer().stage_open(sub(y_, t_.b, rc), &f_);
+  ctx.round_buffer().stage_open(x_, t_.a, &e_);
+  ctx.round_buffer().stage_open(y_, t_.b, &f_);
 }
 
 Shared MatmulRound::finish(const RingConfig& rc) {
@@ -395,8 +442,8 @@ void BilinearRound::stage(TwoPartyContext& ctx, const Shared& x, const Shared& w
   t_ = ctx.triples().bilinear_triple(spec);
   // E = W - B opens in weight space (offline-able for a static model) and
   // F = X - A opens in *input* space — the paper's COMM_conv term.
-  ctx.round_buffer().stage_open(sub(weight, t_.b, rc), &e_);
-  ctx.round_buffer().stage_open(sub(x, t_.a, rc), &f_);
+  ctx.round_buffer().stage_open(weight, t_.b, &e_);
+  ctx.round_buffer().stage_open(x, t_.a, &f_);
 }
 
 Shared BilinearRound::finish(const RingConfig& rc) {

@@ -118,6 +118,19 @@ enum class RoundPhase : std::uint8_t { ot, bits, opens, done };
 /// Per-context staging area for every exchange of a round group.  Stages
 /// wait, in staging order, until flush() runs ONE phase for all of them.
 /// Driven from the context's thread.
+///
+/// Ring openings stage straight into one slab: a `Shared` whose two
+/// shares hold every pending opening back to back, written at stage time
+/// (x − mask for a Beaver round's E/F, x itself for the terminal reveal).
+/// The flush opens the slab in one exchange and scatters the public words
+/// to the outputs.  In process the two share vectors themselves travel
+/// through the channel pair (no word is copied in transit), the opened
+/// value is summed into the buffer party 0 received, and the two received
+/// buffers become the next flush's slab; a remote endpoint serialises its
+/// own share from the slab and adds the peer's into it.  Either way the
+/// slab keeps its capacity, so once a chunk's largest round group has
+/// flushed, staging and flushing allocate nothing but the outputs.  This
+/// is the only ring-opening path: the one-shot open() stages and flushes.
 class RoundBuffer {
  public:
   explicit RoundBuffer(TwoPartyContext& ctx) : ctx_(ctx) {}
@@ -135,8 +148,13 @@ class RoundBuffer {
   void stage_bits(BitShared x, std::vector<std::uint8_t>* out) {
     bits_.push_back(PendingBits{std::move(x), out});
   }
-  /// Stages x for a joint ring opening; the public value lands in *out.
-  void stage_open(Shared x, RingVec* out) { opens_.push_back(PendingOpen{std::move(x), out}); }
+  /// Stages x − mask for a joint ring opening (a Beaver round's masked
+  /// operand), written straight into the slab; the public value lands in
+  /// *out.  Throws std::invalid_argument, staging nothing, on a size
+  /// mismatch.
+  void stage_open(const Shared& x, const Shared& mask, RingVec* out);
+  /// Stages x itself for a joint ring opening (the terminal reveal).
+  void stage_open(const Shared& x, RingVec* out);
 
   /// Runs one phase and returns it: every pending OT batch if there is
   /// one (consecutive stages sharing (sender, mode) merge into one
@@ -146,13 +164,14 @@ class RoundBuffer {
   RoundPhase flush();
 
   /// Drops every pending stage without running it (error-path cleanup:
-  /// the staged copies are destroyed and the output pointers forgotten, so
-  /// an unwound protocol step cannot leave the buffer pointing into dead
-  /// stack frames).
+  /// the staged copies are destroyed, the slab's words forgotten and the
+  /// output pointers dropped, so an unwound protocol step cannot leave the
+  /// buffer pointing into dead stack frames).
   void discard() noexcept {
     ots_.clear();
     bits_.clear();
     opens_.clear();
+    slab_used_ = 0;
   }
   [[nodiscard]] bool has_pending() const noexcept {
     return !ots_.empty() || !bits_.empty() || !opens_.empty();
@@ -162,6 +181,8 @@ class RoundBuffer {
   void flush_ots();
   void flush_bits();
   void flush_opens();
+  /// Claims the next n words of both slab shares; returns their offset.
+  std::size_t claim_slab(std::size_t n);
 
   struct PendingOt {
     int sender;
@@ -175,13 +196,18 @@ class RoundBuffer {
     std::vector<std::uint8_t>* out;
   };
   struct PendingOpen {
-    Shared x;
+    std::size_t n;  // words at the next offset of the slab
     RingVec* out;
   };
   TwoPartyContext& ctx_;
   std::vector<PendingOt> ots_;
   std::vector<PendingBits> bits_;
   std::vector<PendingOpen> opens_;
+  /// Pending ring openings, back to back in [0, slab_used_).  The vectors
+  /// keep the size of the last flush, so a group no larger than the one
+  /// before overwrites words in place without zero-filling them first.
+  Shared slab_;
+  std::size_t slab_used_ = 0;
 };
 
 /// Everything the online phase of a 2PC evaluation needs.
@@ -371,7 +397,9 @@ class TwoPartyContext {
 };
 
 /// Jointly reconstruct a shared vector: both parties exchange their shares
-/// (one parallel round) and locally add.  Returns the public value.
+/// (one parallel round) and locally add.  Returns the public value.  Runs
+/// through the round buffer (stage + flush), which must have nothing
+/// pending (std::logic_error otherwise).
 [[nodiscard]] RingVec open(TwoPartyContext& ctx, const Shared& x);
 
 // --- Staged (two-phase) protocol rounds ------------------------------------

@@ -80,7 +80,7 @@ void PartySession::verify_plan(const offline::PreprocessingPlan& plan) {
   w.put_u32(static_cast<std::uint32_t>(rc_.frac_bits));
   w.put_u32(static_cast<std::uint32_t>(rc_.wire_bits));
   // Symmetric exchange: both send, both receive (the channel is duplex).
-  chan_.send_bytes(w.bytes());
+  chan_.send_bytes(w.take());
   const std::vector<std::uint8_t> msg = chan_.recv_bytes();
   WireReader r(msg);
   const std::uint64_t peer_fp = r.get_u64();

@@ -36,17 +36,19 @@ void TransportChannel::note_message(int sender) noexcept {
   }
 }
 
-void TransportChannel::do_send(std::vector<std::uint8_t>&& data, std::uint64_t wire_bytes) {
+void TransportChannel::send_frame(const std::uint8_t* data, std::size_t size,
+                                  std::uint64_t wire_bytes) {
   {
     std::lock_guard<std::mutex> lk(m_);
     if (closed_) throw crypto::ChannelClosed("TransportChannel::send: channel closed");
   }
   // Frame = [u64 accounted wire bytes][message]; the peer credits our
   // direction with the same figure we do, keeping the two endpoints'
-  // meters identical.
-  std::vector<std::uint8_t> frame(8 + data.size());
+  // meters identical.  The message is copied once, straight into the
+  // frame.
+  std::vector<std::uint8_t> frame(8 + size);
   put_u64_le(frame.data(), wire_bytes);
-  if (!data.empty()) std::memcpy(frame.data() + 8, data.data(), data.size());
+  if (size > 0) std::memcpy(frame.data() + 8, data, size);
   transport_->send_frame(frame);
   std::lock_guard<std::mutex> lk(m_);
   (local_party_ == 0 ? stats_->bytes_p0_to_p1 : stats_->bytes_p1_to_p0) += wire_bytes;
@@ -60,7 +62,23 @@ void TransportChannel::do_send(std::vector<std::uint8_t>&& data, std::uint64_t w
   note_message(local_party_);
 }
 
-std::vector<std::uint8_t> TransportChannel::do_recv() {
+void TransportChannel::do_send(std::vector<std::uint8_t>&& data, std::uint64_t wire_bytes) {
+  send_frame(data.data(), data.size(), wire_bytes);
+}
+
+// Words go on the wire as their in-memory bytes (little-endian hosts), the
+// frame a byte message of the same words would carry.
+void TransportChannel::do_send_words(crypto::RingVec&& words, std::uint64_t wire_bytes) {
+  do_send_word_copy(words, wire_bytes);
+}
+
+void TransportChannel::do_send_word_copy(const crypto::RingVec& words,
+                                         std::uint64_t wire_bytes) {
+  send_frame(reinterpret_cast<const std::uint8_t*>(words.data()),
+             words.size() * sizeof(std::uint64_t), wire_bytes);
+}
+
+std::vector<std::uint8_t> TransportChannel::recv_checked_frame() {
   {
     std::lock_guard<std::mutex> lk(m_);
     if (closed_) throw crypto::ChannelClosed("TransportChannel::recv: channel closed");
@@ -71,7 +89,7 @@ std::vector<std::uint8_t> TransportChannel::do_recv() {
   const bool timed = tracer_ != nullptr && tracer_->enabled();
   const auto wait_begin =
       timed ? std::chrono::steady_clock::now() : std::chrono::steady_clock::time_point{};
-  const std::vector<std::uint8_t> frame = transport_->recv_frame();
+  std::vector<std::uint8_t> frame = transport_->recv_frame();
   if (timed) {
     tracer_->add(obs::Counter::recv_wait_us,
                  static_cast<std::uint64_t>(std::chrono::duration_cast<std::chrono::microseconds>(
@@ -88,7 +106,6 @@ std::vector<std::uint8_t> TransportChannel::do_recv() {
   if (wire_bytes > 8 * (frame.size() - 8) + 64) {
     throw FrameError("TransportChannel::recv: implausible wire-byte accounting in sub-header");
   }
-  std::vector<std::uint8_t> data(frame.begin() + 8, frame.end());
   const int peer = 1 - local_party_;
   std::lock_guard<std::mutex> lk(m_);
   (peer == 0 ? stats_->bytes_p0_to_p1 : stats_->bytes_p1_to_p0) += wire_bytes;
@@ -99,7 +116,36 @@ std::vector<std::uint8_t> TransportChannel::do_recv() {
     tracer_->add(obs::Counter::messages, 1);
   }
   note_message(peer);
-  return data;
+  return frame;
+}
+
+std::vector<std::uint8_t> TransportChannel::do_recv() {
+  std::vector<std::uint8_t> frame = recv_checked_frame();
+  frame.erase(frame.begin(), frame.begin() + 8);
+  return frame;
+}
+
+crypto::RingVec TransportChannel::do_recv_words() {
+  const std::vector<std::uint8_t> frame = recv_checked_frame();
+  if ((frame.size() - 8) % sizeof(std::uint64_t) != 0) {
+    throw std::logic_error("Channel::recv_ring: message size mismatch");
+  }
+  crypto::RingVec words((frame.size() - 8) / sizeof(std::uint64_t));
+  if (!words.empty()) std::memcpy(words.data(), frame.data() + 8, frame.size() - 8);
+  return words;
+}
+
+void TransportChannel::do_recv_words_add(crypto::RingVec& acc, std::uint64_t mask) {
+  const std::vector<std::uint8_t> frame = recv_checked_frame();
+  if (frame.size() - 8 != acc.size() * sizeof(std::uint64_t)) {
+    throw std::logic_error("Channel::recv_ring: message size mismatch");
+  }
+  const std::uint8_t* p = frame.data() + 8;
+  for (std::size_t i = 0; i < acc.size(); ++i) {
+    std::uint64_t w;
+    std::memcpy(&w, p + i * sizeof(std::uint64_t), sizeof(w));
+    acc[i] = (acc[i] + w) & mask;
+  }
 }
 
 void TransportChannel::begin_round() {

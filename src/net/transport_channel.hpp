@@ -19,6 +19,8 @@
 //
 // Channel sub-header (inside the transport frame, little-endian):
 //   u64 accounted_wire_bytes | message bytes
+// A word message's bytes are its ring elements as 8-byte little-endian
+// values, so the wire cannot tell the two message kinds apart.
 // A sub-header whose byte count fails sanity checks raises FrameError.
 
 #include <memory>
@@ -50,8 +52,18 @@ class TransportChannel final : public crypto::Channel {
  protected:
   void do_send(std::vector<std::uint8_t>&& data, std::uint64_t wire_bytes) override;
   [[nodiscard]] std::vector<std::uint8_t> do_recv() override;
+  void do_send_words(crypto::RingVec&& words, std::uint64_t wire_bytes) override;
+  void do_send_word_copy(const crypto::RingVec& words, std::uint64_t wire_bytes) override;
+  [[nodiscard]] crypto::RingVec do_recv_words() override;
+  void do_recv_words_add(crypto::RingVec& acc, std::uint64_t mask) override;
 
  private:
+  /// Frames `size` message bytes behind the sub-header, sends the frame
+  /// and credits the local->peer direction.
+  void send_frame(const std::uint8_t* data, std::size_t size, std::uint64_t wire_bytes);
+  /// Receives one frame, validates its sub-header and credits the
+  /// peer->local direction; the message starts at offset 8.
+  [[nodiscard]] std::vector<std::uint8_t> recv_checked_frame();
   /// The simulated pair's round rule applied to the local view: `sender`
   /// is the party whose message was just observed (local on send, peer on
   /// recv).  Caller holds m_.

@@ -587,8 +587,8 @@ void run_direction(crypto::TwoPartyContext& ctx, const WalkIo& io) {
     arith.reserve(static_cast<std::size_t>(tot.arith_elems * io.lanes));
     std::vector<std::uint8_t> bitcorr;
     build_corrections(io, *es, mask, &arith, &bitcorr);
-    if (tot.arith_cots > 0) ctx.chan(S).send_ring(arith, wire);
-    if (tot.bit_cots > 0) ctx.chan(S).send_bytes(bitcorr);
+    if (tot.arith_cots > 0) ctx.chan(S).send_ring(std::move(arith), wire);
+    if (tot.bit_cots > 0) ctx.chan(S).send_bytes(std::move(bitcorr));
   }
   if (ctx.runs(R)) {
     RingVec arith;

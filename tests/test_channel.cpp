@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <cstdint>
+#include <utility>
+#include <vector>
 
 #include "crypto/channel.hpp"
 
@@ -102,6 +105,54 @@ TEST(Channel, SizeMismatchOnRecvRingThrows) {
   auto [c0, c1] = pc::Channel::make_pair();
   c0->send_ring(pc::RingVec{1, 2}, 4);
   EXPECT_THROW((void)c1->recv_ring(3, 4), std::logic_error);
+}
+
+TEST(Channel, InProcessMessageArrivesInTheBufferItWasSentIn) {
+  // The in-process pair moves a message's vector to the peer: the receiver
+  // gets the very buffer the sender handed over, so nothing is copied.
+  auto [c0, c1] = pc::Channel::make_pair();
+  pc::RingVec words{1, 2, 3, 4, 5};
+  const std::uint64_t* const sent_words = words.data();
+  c0->send_ring(std::move(words), 4);
+  const pc::RingVec got_words = c1->recv_ring(5, 4);
+  EXPECT_EQ(got_words.data(), sent_words);
+  EXPECT_EQ(got_words, (pc::RingVec{1, 2, 3, 4, 5}));
+  EXPECT_EQ(c0->stats().bytes_p0_to_p1, 20u);  // modeled width, not 8 B/word
+
+  std::vector<std::uint8_t> bytes{9, 8, 7};
+  const std::uint8_t* const sent_bytes = bytes.data();
+  c1->send_bytes(std::move(bytes));
+  const std::vector<std::uint8_t> got_bytes = c0->recv_bytes();
+  EXPECT_EQ(got_bytes.data(), sent_bytes);
+  EXPECT_EQ(got_bytes, (std::vector<std::uint8_t>{9, 8, 7}));
+}
+
+TEST(Channel, MessageKindMismatchThrowsLogicErrorAndKeepsTheMessage) {
+  // A byte message received as words (or the reverse) is a protocol bug:
+  // it throws instead of yielding an empty or reinterpreted vector, and
+  // the message stays queued.
+  auto [c0, c1] = pc::Channel::make_pair();
+  c0->send_bytes({1, 2, 3, 4, 5, 6, 7, 8});  // one word's worth of bytes
+  EXPECT_THROW((void)c1->recv_ring(1), std::logic_error);
+  pc::RingVec acc{0};
+  EXPECT_THROW(c1->recv_ring_add(acc, ~std::uint64_t{0}), std::logic_error);
+  EXPECT_EQ(acc, pc::RingVec{0});
+  EXPECT_EQ(c1->recv_bytes(), (std::vector<std::uint8_t>{1, 2, 3, 4, 5, 6, 7, 8}));
+
+  c0->send_ring(pc::RingVec{7});
+  EXPECT_THROW((void)c1->recv_bytes(), std::logic_error);
+  EXPECT_EQ(c1->recv_ring(1), pc::RingVec{7});
+}
+
+TEST(Channel, RecvRingAddAddsTheMessageIntoTheAccumulator) {
+  auto [c0, c1] = pc::Channel::make_pair();
+  const std::uint64_t mask = 0xFFFFFFFFULL;  // 32-bit ring
+  c0->send_ring(pc::RingVec{5, 0xFFFFFFFFULL}, 4);
+  pc::RingVec acc{1, 2};
+  c1->recv_ring_add(acc, mask);
+  EXPECT_EQ(acc, (pc::RingVec{6, 1}));  // second word wraps mod 2^32
+  c0->send_ring(pc::RingVec{1}, 4);
+  EXPECT_THROW(c1->recv_ring_add(acc, mask), std::logic_error);  // size lie
 }
 
 TEST(Channel, U64Convenience) {

@@ -1,14 +1,21 @@
-// Tests for round accounting on the in-process context and for batched
+// Tests for round accounting and the ring-opening slab on the in-process
+// context (and on a remote context pair over loopback TCP), and for batched
 // serving over W worker pairs (proto::Workload), each worker running its
 // own context.
 
 #include <gtest/gtest.h>
 
 #include <array>
+#include <chrono>
 #include <cmath>
+#include <future>
+#include <memory>
 #include <utility>
+#include <vector>
 
 #include "crypto/compare.hpp"
+#include "net/party_session.hpp"
+#include "net/socket.hpp"
 #include "nn/layers.hpp"
 #include "perf/ir_cost.hpp"
 #include "proto/secure_network.hpp"
@@ -16,6 +23,7 @@
 #include "support/test_models.hpp"
 
 namespace ir = pasnet::ir;
+namespace net = pasnet::net;
 namespace nn = pasnet::nn;
 namespace pc = pasnet::crypto;
 namespace perf = pasnet::perf;
@@ -88,6 +96,190 @@ TEST(RoundAccounting, DiscardDropsPendingStagesAndKeepsBufferUsable) {
   EXPECT_EQ(buf.flush(), pc::RoundPhase::opens);
   EXPECT_EQ(ctx.stats().rounds, 1u);
   EXPECT_EQ(rb, pc::reconstruct(a, ctx.ring()));
+}
+
+namespace {
+
+pc::RingVec random_ring(std::size_t n, pc::Prng& prng, const pc::RingConfig& rc) {
+  pc::RingVec v(n);
+  for (auto& e : v) e = prng.next_u64() & rc.mask();
+  return v;
+}
+
+/// One ring opening of a staged round group: x − mask, or x itself when
+/// the stage is unmasked (the terminal reveal's form).
+struct OpenStage {
+  pc::Shared x;
+  pc::Shared mask;
+  bool masked = true;
+
+  [[nodiscard]] pc::RingVec expected(const pc::RingConfig& rc) const {
+    return pc::reconstruct(masked ? pc::sub(x, mask, rc) : x, rc);
+  }
+};
+
+std::vector<OpenStage> make_group(const std::vector<std::size_t>& sizes, pc::Prng& prng,
+                                  const pc::RingConfig& rc) {
+  std::vector<OpenStage> group;
+  for (std::size_t i = 0; i < sizes.size(); ++i) {
+    OpenStage s;
+    s.x = pc::share(random_ring(sizes[i], prng, rc), prng, rc);
+    s.mask = pc::share(random_ring(sizes[i], prng, rc), prng, rc);
+    s.masked = i % 2 == 0;
+    group.push_back(std::move(s));
+  }
+  return group;
+}
+
+/// Stages every opening of `group` and flushes it once.
+std::vector<pc::RingVec> open_group(pc::TwoPartyContext& ctx,
+                                    const std::vector<OpenStage>& group) {
+  std::vector<pc::RingVec> out(group.size());
+  pc::RoundBuffer& buf = ctx.round_buffer();
+  for (std::size_t i = 0; i < group.size(); ++i) {
+    if (group[i].masked) {
+      buf.stage_open(group[i].x, group[i].mask, &out[i]);
+    } else {
+      buf.stage_open(group[i].x, &out[i]);
+    }
+  }
+  EXPECT_EQ(buf.flush(), pc::RoundPhase::opens);
+  return out;
+}
+
+std::size_t total_words(const std::vector<OpenStage>& group) {
+  std::size_t n = 0;
+  for (const OpenStage& s : group) n += s.x.size();
+  return n;
+}
+
+}  // namespace
+
+TEST(RoundAccounting, MaskedStageOpenEqualsReconstructOfDifferenceEverySize) {
+  // Empty, single and odd-length masked stages in one flush: each output is
+  // the opened x − mask, and the one round carries every word exactly once.
+  pc::TwoPartyContext ctx;
+  const pc::RingConfig& rc = ctx.ring();
+  pc::Prng prng(18);
+  const std::vector<std::size_t> sizes{0, 1, 7, 33, 0, 5};
+  std::vector<OpenStage> group = make_group(sizes, prng, rc);
+  for (OpenStage& s : group) s.masked = true;
+  ctx.reset_stats();
+  const std::vector<pc::RingVec> out = open_group(ctx, group);
+  EXPECT_EQ(ctx.stats().rounds, 1u);
+  EXPECT_EQ(ctx.stats().messages, 2u);
+  EXPECT_EQ(ctx.stats().bytes_p0_to_p1, 46u * static_cast<std::uint64_t>(ctx.wire_bytes()));
+  EXPECT_EQ(ctx.stats().bytes_p1_to_p0, ctx.stats().bytes_p0_to_p1);
+  for (std::size_t i = 0; i < group.size(); ++i) {
+    EXPECT_EQ(out[i], group[i].expected(rc)) << "size " << sizes[i];
+  }
+
+  // A mask of the wrong size is refused before anything is staged.
+  pc::RingVec unused;
+  EXPECT_THROW(ctx.round_buffer().stage_open(group[2].x, group[3].mask, &unused),
+               std::invalid_argument);
+  EXPECT_FALSE(ctx.round_buffer().has_pending());
+}
+
+TEST(RoundAccounting, SlabRecyclingAcrossGrowingShrinkingGrowingFlushes) {
+  // One context flushes groups whose totals grow, shrink (to nothing) and
+  // grow again, so the slab's buffers are reused at every size.  Each flush
+  // opens exactly its own words: correct values, and |group| words per
+  // direction — none left over from a larger earlier flush.
+  pc::TwoPartyContext ctx;
+  const pc::RingConfig& rc = ctx.ring();
+  pc::Prng prng(19);
+  const std::vector<std::vector<std::size_t>> totals{
+      {4, 9}, {300, 1, 64}, {3}, {0}, {2, 5}, {500, 250}, {1}};
+  for (const auto& sizes : totals) {
+    const std::vector<OpenStage> group = make_group(sizes, prng, rc);
+    const pc::TrafficStats before = ctx.stats();
+    const std::vector<pc::RingVec> out = open_group(ctx, group);
+    const std::uint64_t want_bytes =
+        total_words(group) * static_cast<std::uint64_t>(ctx.wire_bytes());
+    EXPECT_EQ(ctx.stats().rounds - before.rounds, 1u);
+    EXPECT_EQ(ctx.stats().bytes_p0_to_p1 - before.bytes_p0_to_p1, want_bytes);
+    EXPECT_EQ(ctx.stats().bytes_p1_to_p0 - before.bytes_p1_to_p0, want_bytes);
+    for (std::size_t i = 0; i < group.size(); ++i) {
+      EXPECT_EQ(out[i], group[i].expected(rc)) << "group of " << total_words(group);
+    }
+  }
+}
+
+TEST(RoundAccounting, DiscardAfterMaskedStageLeavesNoStaleWords) {
+  // A masked stage's words are already in the slab when the step unwinds;
+  // discard() must forget them, so the next flush sends only its own.
+  pc::TwoPartyContext ctx;
+  const pc::RingConfig& rc = ctx.ring();
+  pc::Prng prng(20);
+  const std::vector<OpenStage> dropped = make_group({40}, prng, rc);
+  const std::vector<OpenStage> kept = make_group({3}, prng, rc);
+  pc::RingVec ra, rb;
+  pc::RoundBuffer& buf = ctx.round_buffer();
+  buf.stage_open(dropped[0].x, dropped[0].mask, &ra);
+  buf.discard();
+  EXPECT_FALSE(buf.has_pending());
+  buf.stage_open(kept[0].x, kept[0].mask, &rb);
+  ctx.reset_stats();
+  EXPECT_EQ(buf.flush(), pc::RoundPhase::opens);
+  const std::uint64_t want_bytes = 3u * static_cast<std::uint64_t>(ctx.wire_bytes());
+  EXPECT_EQ(ctx.stats().bytes_p0_to_p1, want_bytes);
+  EXPECT_EQ(ctx.stats().bytes_p1_to_p0, want_bytes);
+  EXPECT_EQ(rb, kept[0].expected(rc));
+  EXPECT_TRUE(ra.empty());
+}
+
+TEST(RoundAccounting, RemoteContextsOnTwoThreadsOpenLikeTheInProcessContext) {
+  // The same round groups (masked and plain stages; totals growing, then
+  // shrinking) opened by an in-process context and by two remote contexts
+  // over loopback TCP, one per thread: every value and each endpoint's
+  // TrafficStats equal the in-process run's.  A 32-bit ring, so a sum
+  // that is not reduced shows.
+  pc::RingConfig rc;
+  rc.bits = 32;
+  pc::Prng prng(21);
+  std::vector<std::vector<OpenStage>> groups;
+  for (const auto& sizes : std::vector<std::vector<std::size_t>>{{5, 17}, {300, 0, 1}, {2}}) {
+    groups.push_back(make_group(sizes, prng, rc));
+  }
+  const auto run = [&groups](pc::TwoPartyContext& ctx) {
+    ctx.reset_stats();
+    std::vector<pc::RingVec> opened;
+    for (const auto& group : groups) {
+      for (pc::RingVec& v : open_group(ctx, group)) opened.push_back(std::move(v));
+    }
+    return std::make_pair(std::move(opened), ctx.stats());
+  };
+  pc::TwoPartyContext local(rc, 42);
+  const auto [want, want_stats] = run(local);
+  for (std::size_t g = 0, i = 0; g < groups.size(); ++g) {
+    for (const OpenStage& s : groups[g]) EXPECT_EQ(want[i++], s.expected(rc));
+  }
+
+  net::TransportOptions topts;
+  topts.connect_timeout = std::chrono::milliseconds(5000);
+  topts.io_timeout = std::chrono::milliseconds(20000);
+  net::Listener listener(0);
+  const std::uint16_t port = listener.port();
+  const auto run_side = [&](int party) {
+    const std::unique_ptr<net::TransportChannel> chan =
+        party == 1 ? net::serve_party_channel(listener, 1, topts)
+                   : net::dial_party_channel("127.0.0.1", port, 0, topts);
+    pc::TwoPartyContext ctx(rc, 42, party, *chan);
+    return run(ctx);
+  };
+  auto side1 = std::async(std::launch::async, run_side, 1);
+  const auto [opened0, stats0] = run_side(0);
+  const auto [opened1, stats1] = side1.get();
+  EXPECT_EQ(opened0, want);
+  EXPECT_EQ(opened1, want);
+  for (const pc::TrafficStats& s : {stats0, stats1}) {
+    EXPECT_EQ(s.bytes_p0_to_p1, want_stats.bytes_p0_to_p1);
+    EXPECT_EQ(s.bytes_p1_to_p0, want_stats.bytes_p1_to_p0);
+    EXPECT_EQ(s.messages, want_stats.messages);
+    EXPECT_EQ(s.rounds, want_stats.rounds);
+  }
+  EXPECT_EQ(want_stats.rounds, groups.size());
 }
 
 TEST(RoundAccounting, EachFlushRunsOnePhaseInPriorityOrder) {
